@@ -199,9 +199,11 @@ def integrate(h: PosetFunction) -> int:
     """Integral of h against the Euler characteristic (Moebius route).
 
     Equals the coefficient sum of the canonical prime-filter form, since
-    every prime filter has chi 1.  Valid for arbitrary integer h.
+    every prime filter has chi 1: the dot product of h with the Moebius
+    row sums, taken in Python ints.  Valid for arbitrary integer h.
     """
-    return int((h.values @ h.parent.mobius().mu).sum())
+    row_sums = h.parent.mobius().mu.sum(axis=1).tolist()
+    return sum(v * r for v, r in zip(h.values.tolist(), row_sums))
 
 
 def _integrate_on_members(h: PosetFunction, members: list[int]) -> int:

@@ -18,14 +18,7 @@ from dataclasses import dataclass, field
 
 from .calculus import integrate, integrate_excursion
 from .document import PosetDocument, to_dot
-from .errors import (
-    CycleDetected,
-    EulerScanError,
-    NegativeValues,
-    NotMonotone,
-    ParseError,
-    UnknownFunction,
-)
+from .errors import EulerScanError, NegativeValues, NotMonotone
 from .network import NoiseSpec, corrupt, enumerate_reduced, random_network
 from .reduction import chi_minimal_model, core
 
@@ -373,17 +366,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (
-        ParseError,
-        CycleDetected,
-        UnknownFunction,
-        NotMonotone,
-        NegativeValues,
-        EulerScanError,
-        OSError,
-        OverflowError,
-        ValueError,
-    ) as exc:
+    except (EulerScanError, OSError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

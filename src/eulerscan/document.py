@@ -12,6 +12,8 @@ output files byte-stable.
 from __future__ import annotations
 
 import json
+import re
+from collections import Counter
 from typing import Iterable, Mapping
 
 from .calculus import PosetFunction
@@ -20,11 +22,27 @@ from .network import SensorNetwork, TargetPosition, TargetSet
 from .poset import Poset
 
 _TOP_KEYS = {"elements", "covers", "functions", "targets"}
+# str(id) for an integer id; "00", "+1", "-0" or " 1" would alias another key
+_CANONICAL_ID = re.compile(r"0|-?[1-9][0-9]*")
 
 
 def _expect(condition: bool, message: str):
     if not condition:
         raise ParseError(message)
+
+
+def _is_int(value: object) -> bool:
+    """JSON integers only: bools and floats are not ids or values."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _no_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        duplicates = sorted(key for key, count in counts.items() if count > 1)
+        raise ParseError(f"duplicate JSON keys: {duplicates}")
+    return obj
 
 
 class PosetDocument:
@@ -53,7 +71,7 @@ class PosetDocument:
     @classmethod
     def from_text(cls, text: str) -> "PosetDocument":
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_no_duplicate_keys)
         except json.JSONDecodeError as exc:
             raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
         return cls.from_obj(raw)
@@ -78,10 +96,7 @@ class PosetDocument:
             _expect(isinstance(entry, dict), "each element must be an object")
             extra = set(entry) - {"id", "label"}
             _expect(not extra, f"unknown element keys: {sorted(extra)}")
-            _expect(
-                isinstance(entry.get("id"), int) and not isinstance(entry["id"], bool),
-                "element ids must be integers",
-            )
+            _expect(_is_int(entry.get("id")), "element ids must be integers")
             ids.append(entry["id"])
             if "label" in entry:
                 _expect(isinstance(entry["label"], str), "labels must be strings")
@@ -93,9 +108,7 @@ class PosetDocument:
         covers: list[tuple[int, int]] = []
         for pair in raw["covers"]:
             _expect(
-                isinstance(pair, list)
-                and len(pair) == 2
-                and all(isinstance(v, int) and not isinstance(v, bool) for v in pair),
+                isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair)),
                 "each cover must be a [lower, upper] id pair",
             )
             _expect(
@@ -111,17 +124,15 @@ class PosetDocument:
                 _expect(isinstance(table, dict), f"function {name!r} must be an object")
                 parsed: dict[int, int] = {}
                 for key, value in table.items():
-                    try:
-                        doc_id = int(key)
-                    except ValueError:
-                        raise ParseError(
-                            f"function {name!r} has a non-integer id {key!r}"
-                        ) from None
                     _expect(
-                        isinstance(value, int) and not isinstance(value, bool),
+                        _CANONICAL_ID.fullmatch(key) is not None,
+                        f"function {name!r} has a non-canonical id {key!r}",
+                    )
+                    _expect(
+                        _is_int(value),
                         f"function {name!r} has a non-integer value at id {key}",
                     )
-                    parsed[doc_id] = value
+                    parsed[int(key)] = value
                 _expect(
                     set(parsed) == id_set,
                     f"function {name!r} must assign a value to every element",
@@ -138,18 +149,23 @@ class PosetDocument:
                 _expect(not extra, f"unknown target keys: {sorted(extra)}")
                 count = entry.get("count", 1)
                 _expect(
-                    isinstance(count, int) and not isinstance(count, bool) and count >= 1,
+                    _is_int(count) and count >= 1,
                     "target count must be a positive integer",
                 )
                 if "node" in entry:
                     _expect("edge" not in entry, "a target is a node or an edge, not both")
-                    _expect(entry["node"] in id_set, f"target node {entry['node']} unknown")
+                    _expect(
+                        _is_int(entry["node"]) and entry["node"] in id_set,
+                        f"target node {entry['node']} unknown",
+                    )
                     parsed_targets.append(("node", entry["node"], count))
                 elif "edge" in entry:
                     edge = entry["edge"]
                     _expect(
-                        isinstance(edge, list) and len(edge) == 2,
-                        "target edge must be a [lower, upper] pair",
+                        isinstance(edge, list)
+                        and len(edge) == 2
+                        and all(map(_is_int, edge)),
+                        "target edge must be a [lower, upper] id pair",
                     )
                     _expect(
                         edge[0] in id_set and edge[1] in id_set,
@@ -298,7 +314,7 @@ def to_dot(doc: PosetDocument, function_name: str | None = None) -> str:
     Nodes appear in id order, one rank per level; with a function name
     every node label becomes ``label:value``.  Node targets append one
     asterisk per target to the node label; edge targets become asterisk
-    edge labels.
+    edge labels.  Backslashes and double quotes in labels are escaped.
     """
     poset = doc.poset()
     values = doc.function(function_name) if function_name is not None else None
@@ -320,6 +336,7 @@ def to_dot(doc: PosetDocument, function_name: str | None = None) -> str:
             label = f"{label}:{values[dense]}"
         if doc_id in node_stars:
             label += " " + "*" * node_stars[doc_id]
+        label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{doc_id} [label="{label}"];')
 
     levels = _levels(poset)

@@ -73,12 +73,16 @@ def _chi_of_leq(leq: np.ndarray) -> int:
     return int(_mobius_matrix(leq).sum())
 
 
+def _cover_matrix(leq: np.ndarray) -> np.ndarray:
+    """Transitive reduction: ``cov[x, y]`` iff x < y with nothing strictly
+    in between.  Row x holds the upper covers of x, column x its lower
+    covers; this is the one place covers are derived from an order."""
+    lt = leq & ~np.eye(leq.shape[0], dtype=bool)
+    return lt & ~(lt @ lt)
+
+
 def _covers_of_leq(leq: np.ndarray) -> frozenset[tuple[int, int]]:
-    """Transitive reduction: pairs x < y with nothing strictly in between."""
-    n = leq.shape[0]
-    lt = leq & ~np.eye(n, dtype=bool)
-    direct = lt & ~(lt @ lt)
-    return frozenset((int(a), int(b)) for a, b in np.argwhere(direct))
+    return frozenset((int(a), int(b)) for a, b in np.argwhere(_cover_matrix(leq)))
 
 
 @dataclass(frozen=True)
@@ -211,9 +215,7 @@ class Poset:
         cls._check_acyclic(adj)
 
         leq = _closure(adj)
-        lt = leq & ~np.eye(n, dtype=bool)
-        implied = lt @ lt  # a < z < b for some z
-        kept = frozenset(p for p in pairs if not implied[p])
+        kept = _covers_of_leq(leq)  # every cover of the closure is a given pair
         dropped = tuple(sorted(pairs - kept))
 
         if labels is not None:
@@ -376,9 +378,7 @@ class Poset:
 
 
 def _signatures(p: Poset) -> list[tuple]:
-    cov = np.zeros((p.n, p.n), dtype=bool)
-    for a, b in p.covers:
-        cov[a, b] = True
+    cov = _cover_matrix(p.leq)
     cov_out = cov.sum(axis=1)
     cov_in = cov.sum(axis=0)
     down = p.leq.sum(axis=0)

@@ -3,8 +3,11 @@
 Beat points follow the upward convention used throughout this package:
 x is a *down-beat* point when its strict up-set has a unique minimal
 element, and an *up-beat* point dually (strict down-set with a unique
-maximal element).  Several texts attach the names the other way around;
-only internal consistency matters for the theorems exercised here.
+maximal element).  The minimal elements of a strict up-set are exactly
+the upper covers of x (Stong 1966), so down-beat means exactly one upper
+cover and up-beat exactly one lower cover.  Several texts attach the
+names the other way around; only internal consistency matters for the
+theorems exercised here.
 
 The reducibility ladder is
 down-beat  =>  weak down-beat (strict up-set contractible)  =>  chi-point
@@ -22,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poset import Poset, _mobius_matrix
+from .poset import Poset, _cover_matrix, _mobius_matrix
 
 DOWN_BEAT = "down_beat"
 UP_BEAT = "up_beat"
@@ -63,70 +66,76 @@ class ReductionReport:
         return tuple(x for x, _ in self.removal_sequence)
 
 
-def _priority(n: int, tie_break: Sequence[int] | None) -> list[int]:
+def _priority(n: int, tie_break: Sequence[int] | None) -> np.ndarray:
     """Turn a total order on ids into a rank array (lower rank goes first)."""
     if tie_break is None:
-        return list(range(n))
+        return np.arange(n)
     order = [int(x) for x in tie_break]
     if sorted(order) != list(range(n)):
         raise ValueError("tie_break must be a permutation of all element ids")
-    rank = [0] * n
-    for pos, x in enumerate(order):
-        rank[x] = pos
-    return rank
+    return np.argsort(order)  # the inverse permutation
 
 
-def _unique_extremum(leq: np.ndarray, i: int, upward: bool) -> bool:
-    """Does the strict up-set (or down-set) of row i have a unique minimal
-    (resp. maximal) element inside the given order matrix?"""
-    side = leq[i, :] if upward else leq[:, i]
-    members = np.flatnonzero(side)
-    members = members[members != i]
-    if members.size == 0:
-        return False
-    sub = leq[np.ix_(members, members)]
-    strict = sub & ~np.eye(members.size, dtype=bool)
-    extremal = ~strict.any(axis=0) if upward else ~strict.any(axis=1)
-    return int(extremal.sum()) == 1
+def _beat_flags(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Down-beat (one upper cover) and up-beat (one lower cover) masks."""
+    cov = _cover_matrix(leq)
+    return cov.sum(axis=1) == 1, cov.sum(axis=0) == 1
 
 
-def _beat_flags(leq: np.ndarray) -> tuple[list[int], list[int]]:
+def _strip_beat_points(
+    leq: np.ndarray, rank: np.ndarray
+) -> tuple[list[int], list[tuple[int, str]]]:
+    """Remove beat points of ``leq`` one at a time until none remain.
+
+    The beat point of least rank goes first, recorded as down-beat in
+    preference to up-beat.  Returns the surviving indices and the
+    (index, reason) removal sequence.
+    """
+    ids = np.arange(leq.shape[0])
+    removal: list[tuple[int, str]] = []
+    while True:
+        down, up = _beat_flags(leq)
+        beat = np.flatnonzero(down | up)
+        if beat.size == 0:
+            return ids.tolist(), removal
+        i = beat[np.argmin(rank[ids[beat]])]
+        removal.append((int(ids[i]), DOWN_BEAT if down[i] else UP_BEAT))
+        ids = np.delete(ids, i)
+        leq = np.delete(np.delete(leq, i, axis=0), i, axis=1)
+
+
+def _contractible(leq: np.ndarray) -> bool:
     n = leq.shape[0]
-    down = [i for i in range(n) if _unique_extremum(leq, i, upward=True)]
-    up = [i for i in range(n) if _unique_extremum(leq, i, upward=False)]
-    return down, up
+    return n > 0 and len(_strip_beat_points(leq, np.arange(n))[0]) == 1
 
 
 def classify_points(p: Poset) -> PointClass:
     """Flag every element as (weak) beat point and/or chi-point.
 
-    chi-point status is read off the Moebius table in one pass
-    (chi of the strict up-set is 1 minus the Moebius row sum); weak
-    flags run the contractibility test on each strict up/down-set.
-    Each verdict is independent of the others.
+    Beat flags are cover degrees and chi-point status is read off the
+    Moebius table (chi of the strict up-set is 1 minus the Moebius row
+    sum).  Weak flags run the contractibility test on the order matrix
+    of each strict up-set and down-set as it stands, since
+    contractibility does not depend on the direction of the order.  Each
+    verdict is independent of the others.
     """
     down, up = _beat_flags(p.leq)
     chi_above = p.mobius().chi_above()
-    chi = frozenset(i for i in range(p.n) if chi_above[i] == 1)
+    lt = p.leq & ~np.eye(p.n, dtype=bool)
 
-    weak_down = set()
-    weak_up = set()
-    op = p.opposite()
-    for x in range(p.n):
-        above = p.up_set(x, strict=True)
-        if len(above) and is_contractible(p.induced_subposet(above)[0]):
-            weak_down.add(x)
-        above_op = op.up_set(x, strict=True)
-        if len(above_op) and is_contractible(op.induced_subposet(above_op)[0]):
-            weak_up.add(x)
+    def weak(side: np.ndarray) -> frozenset[int]:
+        # row x of ``side`` masks the strict up-set (or down-set) of x
+        return frozenset(
+            x for x in range(p.n) if _contractible(p.leq[np.ix_(side[x], side[x])])
+        )
 
     return PointClass(
         parent=p,
-        down_beat=frozenset(down),
-        up_beat=frozenset(up),
-        weak_down_beat=frozenset(weak_down),
-        weak_up_beat=frozenset(weak_up),
-        chi_point=chi,
+        down_beat=frozenset(np.flatnonzero(down).tolist()),
+        up_beat=frozenset(np.flatnonzero(up).tolist()),
+        weak_down_beat=weak(lt),
+        weak_up_beat=weak(lt.T),
+        chi_point=frozenset(i for i in range(p.n) if chi_above[i] == 1),
     )
 
 
@@ -138,32 +147,14 @@ def core(p: Poset, tie_break: Sequence[int] | None = None) -> ReductionReport:
     element is both).  By Stong's classification the result is unique up
     to isomorphism whatever the order.
     """
-    rank = _priority(p.n, tie_break)
-    members = list(range(p.n))
-    leq = p.leq
-    removal: list[tuple[int, str]] = []
-
-    while True:
-        down, up = _beat_flags(leq)
-        reasons = {i: DOWN_BEAT for i in down}
-        for i in up:
-            reasons.setdefault(i, UP_BEAT)
-        if not reasons:
-            break
-        i = min(reasons, key=lambda j: rank[members[j]])
-        removal.append((members[i], reasons[i]))
-        del members[i]
-        leq = np.delete(np.delete(leq, i, axis=0), i, axis=1)
-
+    members, removal = _strip_beat_points(p.leq, _priority(p.n, tie_break))
     result, mapping = p.induced_subposet(members)
     return ReductionReport(p, tuple(removal), result, mapping)
 
 
 def is_contractible(p: Poset) -> bool:
     """True iff the core is a single point; the empty poset is not."""
-    if p.n == 0:
-        return False
-    return core(p).result.n == 1
+    return _contractible(p.leq)
 
 
 def chi_minimal_model(

@@ -87,12 +87,29 @@ def mobius_by_recursion(n, leq_pairs):
     return {(x, y): mu(x, y) for x in range(n) for y in range(n)}
 
 
+def beat_points_by_definition(members, leq_pairs):
+    """(down-beat, up-beat) sets of the subposet on members, by definition.
+
+    Down-beat means the strict up-set has a unique minimal element, and
+    up-beat means the strict down-set has a unique maximal element.
+    """
+    down, up = set(), set()
+    for x in members:
+        above = [y for y in members if y != x and (x, y) in leq_pairs]
+        mins = [m for m in above if not any((z, m) in leq_pairs for z in above if z != m)]
+        if len(mins) == 1:
+            down.add(x)
+        below = [y for y in members if y != x and (y, x) in leq_pairs]
+        maxs = [m for m in below if not any((m, z) in leq_pairs for z in below if z != m)]
+        if len(maxs) == 1:
+            up.add(x)
+    return down, up
+
+
 def contractible_exhaustive(members, leq_pairs):
     """Decide contractibility by trying every beat-point removal order.
 
-    Down-beat means the strict up-set has a unique minimal element, and
-    up-beat dually; any removal order reaching a single point witnesses
-    contractibility.
+    Any removal order reaching a single point witnesses contractibility.
     """
 
     @lru_cache(maxsize=None)
@@ -101,28 +118,8 @@ def contractible_exhaustive(members, leq_pairs):
             return True
         if not frozen:
             return False
-        beats = []
-        for x in frozen:
-            up = [y for y in frozen if y != x and (x, y) in leq_pairs]
-            if up:
-                mins = [
-                    m
-                    for m in up
-                    if not any(z != m and (z, m) in leq_pairs for z in up)
-                ]
-                if len(mins) == 1:
-                    beats.append(x)
-                    continue
-            down = [y for y in frozen if y != x and (y, x) in leq_pairs]
-            if down:
-                maxs = [
-                    m
-                    for m in down
-                    if not any(z != m and (m, z) in leq_pairs for z in down)
-                ]
-                if len(maxs) == 1:
-                    beats.append(x)
-        return any(go(frozen - {x}) for x in beats)
+        down, up = beat_points_by_definition(frozen, leq_pairs)
+        return any(go(frozen - {x}) for x in down | up)
 
     return go(frozenset(members))
 

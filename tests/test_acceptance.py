@@ -267,3 +267,21 @@ def test_10_cli_golden_files():
             assert doc.to_text() == text
             again = PosetDocument.from_text(doc.to_text())
             assert again.to_obj() == doc.to_obj()
+
+
+def test_11_reduction_at_scale():
+    with criterion(11, "classify_points and core at n=200", 10.0):
+        p = random_network([25] * 8, 0.1, 0, 1).poset
+        assert p.n == 200
+        flags = classify_points(p)
+        assert flags.down_beat <= flags.weak_down_beat <= flags.chi_point
+        assert flags.up_beat <= flags.weak_up_beat
+        assert (len(flags.weak_down_beat), len(flags.weak_up_beat)) == (45, 46)
+        report = core(p)
+        assert len(report.removal_sequence) == 66
+        # the core has no beat point: no element has exactly one upper or
+        # exactly one lower cover
+        result = report.result
+        uppers = [sum(a == x for a, _ in result.covers) for x in range(result.n)]
+        lowers = [sum(b == x for _, b in result.covers) for x in range(result.n)]
+        assert 1 not in uppers and 1 not in lowers

@@ -89,6 +89,26 @@ def test_trellis_integral(trellis):
     assert integrate(trellis_h(trellis)) == 6
 
 
+def test_integrate_is_exact_at_int64_edges():
+    big = 2**62
+    assert integrate(PosetFunction(posetzoo.antichain(3), [big] * 3)) == 3 * big
+    lowest = PosetFunction(posetzoo.antichain(2), [-(2**63)] * 2)
+    assert integrate(lowest) == -(2**64)
+    wide = PosetFunction(posetzoo.antichain(61), [big] * 61)  # object-dtype table
+    assert integrate(wide) == integrate_excursion(wide) == 61 * big
+
+
+def test_integrate_matches_python_int_oracle_at_int64_extremes():
+    rng = random.Random(31)
+    extremes = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+    for _ in range(80):
+        p = oracles.random_poset(rng, max_n=7, shuffle=True)
+        values = [rng.choice(extremes) for _ in range(p.n)]
+        mu = oracles.mobius_by_recursion(p.n, oracles.reachability(p.n, p.covers))
+        expect = sum(values[x] * mu[(x, y)] for x in range(p.n) for y in range(p.n))
+        assert integrate(PosetFunction(p, values)) == expect
+
+
 def test_constant_one_integrates_to_chi():
     rng = random.Random(32)
     for _ in range(60):

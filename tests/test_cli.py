@@ -145,6 +145,44 @@ def test_exit_one_on_function_value_overflow(tmp_path):
     assert code == 1
 
 
+def test_integrate_both_routes_agree_beyond_int64(tmp_path):
+    big = 2**62
+    doc = tmp_path / "big.json"
+    doc.write_text(
+        json.dumps(
+            {
+                "elements": [{"id": i} for i in range(3)],
+                "covers": [],
+                "functions": {"h": {str(i): big for i in range(3)}},
+            }
+        )
+    )
+    code, text = run_cli(
+        "integrate", "--input", doc, "--function", "h", "--route", "both", "--json"
+    )
+    assert code == 0
+    results = json.loads(text)["results"]
+    assert results["integral_mobius"] == results["integral_excursion"] == 3 * big
+    assert results["routes_agree"] is True
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"elements": [{"id": 0}, {"id": 1}], "covers": [],'
+        ' "functions": {"h": {"0": 1, "1": 2, "00": 3}}}',
+        '{"elements": [{"id": 0}], "covers": [], "covers": []}',
+        '{"elements": [{"id": 0}, {"id": 1}], "covers": [], "targets": [{"node": true}]}',
+    ],
+    ids=["non-canonical-id", "duplicate-key", "bool-target"],
+)
+def test_exit_one_on_strict_parse_errors(tmp_path, capsys, text):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    assert run_cli("chi", "--input", doc)[0] == 1
+    assert "error" in capsys.readouterr().err
+
+
 def test_exit_one_on_excursion_route_for_non_monotone():
     code, _ = run_cli(
         "integrate", "--input", DATA / "trellis.json",

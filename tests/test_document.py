@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -74,6 +75,60 @@ def test_malformed_json_reports_position():
     ],
 )
 def test_schema_violations_rejected(text):
+    with pytest.raises(ParseError):
+        PosetDocument.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "alias", ["00", "-0", "+0", "01", "+1", " 1", "1 ", "1_0", "１"]
+)
+def test_non_canonical_function_ids_rejected(alias):
+    # each alias reads as 0, 1 or 10 through int() and would overwrite that entry
+    table = {"0": 5, "1": 6, "10": 7, alias: 8}
+    text = json.dumps(
+        {
+            "elements": [{"id": 0}, {"id": 1}, {"id": 10}],
+            "covers": [],
+            "functions": {"h": table},
+        }
+    )
+    with pytest.raises(ParseError, match="canonical"):
+        PosetDocument.from_text(text)
+
+
+def test_negative_function_ids_are_canonical():
+    doc = PosetDocument.from_text(
+        '{"elements": [{"id": -3}, {"id": 0}], "covers": [[-3, 0]],'
+        ' "functions": {"h": {"-3": 1, "0": 2}}}'
+    )
+    assert doc.functions["h"] == {-3: 1, 0: 2}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"elements": [], "covers": [], "covers": []}',
+        '{"elements": [{"id": 0, "id": 1}], "covers": []}',
+        '{"elements": [{"id": 0}], "covers": [], "functions": {"h": {"0": 1, "0": 2}}}',
+        '{"elements": [{"id": 0}], "covers": [],'
+        ' "functions": {"h": {"0": 1}, "h": {"0": 2}}}',
+        '{"elements": [{"id": 0}], "covers": [], "targets": [{"node": 0, "node": 0}]}',
+    ],
+)
+def test_duplicate_json_keys_rejected(text):
+    with pytest.raises(ParseError, match="duplicate"):
+        PosetDocument.from_text(text)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [{"node": True}, {"node": 1.0}, {"edge": [0, True]}, {"edge": [0.0, 1]}],
+)
+def test_bool_and_float_target_ids_rejected(target):
+    # True == 1 and 1.0 == 1, so a membership test alone would accept these
+    text = json.dumps(
+        {"elements": [{"id": 0}, {"id": 1}], "covers": [[0, 1]], "targets": [target]}
+    )
     with pytest.raises(ParseError):
         PosetDocument.from_text(text)
 
@@ -187,3 +242,22 @@ def test_dot_unknown_function():
 def test_dot_is_deterministic():
     doc = load("trellis.json")
     assert to_dot(doc, "h") == to_dot(load("trellis.json"), "h")
+
+
+def test_dot_escapes_quotes_and_backslashes_in_labels():
+    doc = PosetDocument.from_text(
+        json.dumps(
+            {
+                "elements": [{"id": 0, "label": 'a"b'}, {"id": 1, "label": "c\\"}],
+                "covers": [[0, 1]],
+            }
+        )
+    )
+    dot = to_dot(doc)
+    assert '  n0 [label="a\\"b"];' in dot
+    assert '  n1 [label="c\\\\"];' in dot
+    # every node label is one well-formed DOT string
+    node_lines = [line for line in dot.splitlines() if "[label=" in line]
+    assert len(node_lines) == 2
+    for line in node_lines:
+        assert re.fullmatch(r'  n\d+ \[label="(?:[^"\\]|\\.)*"\];', line)

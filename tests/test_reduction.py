@@ -85,9 +85,62 @@ def test_weak_flags_match_exhaustive_oracle():
             assert (x in flags.weak_down_beat) == expect
 
 
+def test_weak_up_flags_match_exhaustive_oracle():
+    rng = random.Random(20)
+    for _ in range(60):
+        p = oracles.random_poset(rng, max_n=6, shuffle=True)
+        reach = oracles.reachability(p.n, p.covers)
+        flags = classify_points(p)
+        for x in range(p.n):
+            below = set(p.down_set(x, strict=True))
+            expect = bool(below) and oracles.contractible_exhaustive(below, reach)
+            assert (x in flags.weak_up_beat) == expect
+
+
+def test_beat_flags_match_definition_oracle():
+    rng = random.Random(19)
+    for _ in range(300):
+        p = oracles.random_poset(
+            rng, max_n=9, edge_prob=rng.choice((0.2, 0.3, 0.5)), shuffle=True
+        )
+        reach = oracles.reachability(p.n, p.covers)
+        down, up = oracles.beat_points_by_definition(range(p.n), reach)
+        flags = classify_points(p)
+        assert flags.down_beat == down
+        assert flags.up_beat == up
+
+
 # ----------------------------------------------------------------------
 # core
 # ----------------------------------------------------------------------
+
+
+def _core_by_definition(p, order):
+    """Replay core's rule with the oracle's beat flags: least-ranked beat
+    point first, recorded as down-beat when it is both."""
+    reach = oracles.reachability(p.n, p.covers)
+    rank = {x: i for i, x in enumerate(order)}
+    members = set(range(p.n))
+    removal = []
+    while True:
+        down, up = oracles.beat_points_by_definition(members, reach)
+        if not down | up:
+            return tuple(removal)
+        x = min(down | up, key=rank.__getitem__)
+        removal.append((x, "down_beat" if x in down else "up_beat"))
+        members.remove(x)
+
+
+def test_core_removal_sequence_matches_definition_replay():
+    rng = random.Random(18)
+    for _ in range(300):
+        p = oracles.random_poset(
+            rng, max_n=9, edge_prob=rng.choice((0.2, 0.3, 0.5)), shuffle=True
+        )
+        ascending = list(range(p.n))
+        assert core(p).removal_sequence == _core_by_definition(p, ascending)
+        shuffled = rng.sample(range(p.n), p.n)
+        assert core(p, shuffled).removal_sequence == _core_by_definition(p, shuffled)
 
 
 def test_chain_core_is_a_point():

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import NegativeValues, NotMonotone, NotOrderPreserving
-from .poset import ElementSet, Poset, _mobius_matrix
+from .poset import ElementSet, Poset
 
 
 class PosetFunction:
@@ -105,10 +105,11 @@ class FilterLinearForm:
                 raise ValueError(f"term {sorted(q.members)} is not a filter")
 
     def evaluate(self) -> PosetFunction:
-        """The pointwise function the form sums to."""
-        vals = np.zeros(self.parent.n, dtype=np.int64)
+        """The pointwise function the form sums to, accumulated in Python
+        ints (a coefficient may leave int64 even when the sum does not)."""
+        vals = np.zeros(self.parent.n, dtype=object)
         for coeff, q in self.terms:
-            vals[q.mask()] += coeff
+            vals[q.mask()] += int(coeff)
         return PosetFunction(self.parent, vals)
 
     def integral(self) -> int:
@@ -181,14 +182,20 @@ def indicator(p: Poset, s: "ElementSet | Iterable[int]") -> PosetFunction:
     return PosetFunction(p, vals)
 
 
+def _coefficients(h: PosetFunction) -> np.ndarray:
+    """``h @ mu`` on Python ints: the Moebius coefficient of every element."""
+    return h.values.astype(object) @ h.parent.mobius().mu.astype(object)
+
+
 def mobius_coefficients(h: PosetFunction) -> FilterLinearForm:
     """The canonical prime-filter form of h, via Moebius inversion.
 
-    The coefficient at x is sum(mu(y, x) * h(y) for y <= x); evaluating
-    the resulting form reproduces h exactly, and zero terms are dropped.
+    The coefficient at x is sum(mu(y, x) * h(y) for y <= x), taken in
+    Python ints; evaluating the resulting form reproduces h exactly, and
+    zero terms are dropped.
     """
     p = h.parent
-    coeffs = h.values @ p.mobius().mu
+    coeffs = _coefficients(h)
     terms = tuple(
         (int(coeffs[x]), p.up_set(x)) for x in range(p.n) if coeffs[x] != 0
     )
@@ -204,12 +211,6 @@ def integrate(h: PosetFunction) -> int:
     """
     row_sums = h.parent.mobius().mu.sum(axis=1).tolist()
     return sum(v * r for v, r in zip(h.values.tolist(), row_sums))
-
-
-def _integrate_on_members(h: PosetFunction, members: list[int]) -> int:
-    """Integral of h restricted to the induced subposet on members."""
-    sub = h.parent.leq[np.ix_(members, members)]
-    return int((h.values[members] @ _mobius_matrix(sub)).sum())
 
 
 def integrate_excursion(h: PosetFunction) -> int:
@@ -236,16 +237,19 @@ def integrate_excursion(h: PosetFunction) -> int:
 
 def pushforward(f: PosetMap, h: PosetFunction) -> PosetFunction:
     """Transport h along f: at each codomain element, the integral of h
-    over the preimage of that element's prime ideal."""
+    over the preimage of that element's prime ideal.
+
+    Raises ``OverflowError`` when a transported value leaves int64.
+    """
     f._require_order_preserving()
     if h.parent is not f.domain:
         raise ValueError("function does not live on the map's domain")
-    vals = []
-    for x in range(f.codomain.n):
-        ideal = f.codomain.leq[:, x]  # y <= x
-        members = np.flatnonzero(ideal[f.image]).tolist()
-        vals.append(_integrate_on_members(h, members) if members else 0)
-    return PosetFunction(f.codomain, vals)
+    # Row x masks the preimage S of the prime ideal of x, an ideal of the
+    # domain.  mu of S is the restriction of mu, and every a <= b in S lies
+    # in S, so the integral of h over S is the sum of h's Moebius
+    # coefficients (h @ mu)[b] over b in S.
+    inside = f.codomain.leq.T[:, f.image].astype(object)
+    return PosetFunction(f.codomain, (inside @ _coefficients(h)).tolist())
 
 
 def pullback(f: PosetMap, h: PosetFunction) -> PosetFunction:
@@ -261,14 +265,13 @@ def is_chi_distinguished(f: PosetMap) -> bool:
     Such maps transport integrals along the pullback without loss.
     """
     f._require_order_preserving()
-    for x in range(f.codomain.n):
-        members = np.flatnonzero(f.codomain.leq[x, :][f.image]).tolist()
-        if not members:
-            return False
-        sub = f.domain.leq[np.ix_(members, members)]
-        if int(_mobius_matrix(sub).sum()) != 1:
-            return False
-    return True
+    # Row x masks the preimage F of the prime filter of x, a filter of the
+    # domain.  mu of F is the restriction of mu, and every b >= a in F lies
+    # in F, so chi(F) is the sum of the Moebius row sums over F (0 when F
+    # is empty).
+    inside = f.codomain.leq[:, f.image].astype(object)
+    row_sums = f.domain.mobius().mu.sum(axis=1).astype(object)
+    return bool(((inside @ row_sums) == 1).all())
 
 
 def is_ascending_closure_operator(r: PosetMap) -> bool:

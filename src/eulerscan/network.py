@@ -159,8 +159,8 @@ def enumerate_reduced(
 def sensor_placement_plan(
     p: Poset, tie_break: Sequence[int] | None = None
 ) -> ElementSet:
-    """The nodes that must carry trusted sensors: the canonical
-    chi-minimal model's element set."""
+    """The nodes that must carry trusted sensors: the chi-minimal model's
+    element set, every node that is not a chi-point."""
     return p.subset(chi_minimal_model(p, tie_break).mapping)
 
 

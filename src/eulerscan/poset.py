@@ -36,12 +36,22 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _bool_square(a: np.ndarray) -> np.ndarray:
+    """The boolean product ``a @ a``, taken in float32 and tested ``> 0``.
+
+    NumPy multiplies boolean matrices without BLAS.  In float32 each
+    entry counts at most n middle elements, exact while n < 2**24.
+    """
+    f = a.astype(np.float32)
+    return (f @ f) > 0
+
+
 def _closure(adj: np.ndarray) -> np.ndarray:
     """Reflexive-transitive closure of an adjacency matrix, by doubling."""
     n = adj.shape[0]
     reach = adj | np.eye(n, dtype=bool)
     while True:
-        nxt = reach | (reach @ reach)
+        nxt = reach | _bool_square(reach)
         if np.array_equal(nxt, reach):
             return reach
         reach = nxt
@@ -78,7 +88,7 @@ def _cover_matrix(leq: np.ndarray) -> np.ndarray:
     in between.  Row x holds the upper covers of x, column x its lower
     covers; this is the one place covers are derived from an order."""
     lt = leq & ~np.eye(leq.shape[0], dtype=bool)
-    return lt & ~(lt @ lt)
+    return lt & ~_bool_square(lt)
 
 
 def _covers_of_leq(leq: np.ndarray) -> frozenset[tuple[int, int]]:

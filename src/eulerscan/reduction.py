@@ -12,10 +12,14 @@ theorems exercised here.
 The reducibility ladder is
 down-beat  =>  weak down-beat (strict up-set contractible)  =>  chi-point
 (strict up-set has Euler characteristic 1).  Removing beat points until
-none remain yields the core, which is unique up to isomorphism; removing
-chi-points yields a chi-minimal model, which is canonicalized here by
-always removing the eligible element that comes first in a caller-chosen
-total order (ascending ids by default).
+none remain yields the core, which is unique up to isomorphism.
+Removing chi-points until none remain yields the chi-minimal model, and
+that is simply P minus its chi-points, whatever the order.  With R(x)
+the Moebius row sum of x (its strict up-set has chi 1 - R(x)), deleting
+an element z turns R(x) into R(x) - mu(x, z) R(z), and a chi-point has
+R(z) = 0, so no other element gains or loses chi-point status (Rota
+1964).  A caller-chosen total order only orders the reported removal
+sequence.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poset import Poset, _cover_matrix, _mobius_matrix
+from .poset import Poset, _cover_matrix
 
 DOWN_BEAT = "down_beat"
 UP_BEAT = "up_beat"
@@ -160,29 +164,19 @@ def is_contractible(p: Poset) -> bool:
 def chi_minimal_model(
     p: Poset, tie_break: Sequence[int] | None = None
 ) -> ReductionReport:
-    """Remove chi-points one at a time until none remain.
+    """Remove every chi-point, read once off the cached Moebius table.
 
-    chi-point status is recomputed on the surviving subposet after every
-    removal; the element least in the tie-break order goes first, so the
-    default (ascending ids) is the canonical model.  Unlike cores the
-    result is not known to be unique across orders, which is why the
-    order is part of the signature.
+    Removing a chi-point leaves the chi-point status of every other
+    element unchanged, so removing chi-points one at a time until none
+    remain deletes exactly the chi-points of p, in any order.  The model
+    is therefore the same for every tie-break; the order only sorts the
+    reported removal sequence (ascending ids by default).
     """
     rank = _priority(p.n, tie_break)
-    members = list(range(p.n))
-    leq = p.leq
-    removal: list[tuple[int, str]] = []
-
-    while members:
-        mu = _mobius_matrix(leq)
-        chi_above = 1 - mu.sum(axis=1)
-        eligible = [i for i in range(len(members)) if chi_above[i] == 1]
-        if not eligible:
-            break
-        i = min(eligible, key=lambda j: rank[members[j]])
-        removal.append((members[i], CHI_POINT))
-        del members[i]
-        leq = np.delete(np.delete(leq, i, axis=0), i, axis=1)
-
-    result, mapping = p.induced_subposet(members)
-    return ReductionReport(p, tuple(removal), result, mapping)
+    is_chi_point = p.mobius().chi_above() == 1
+    chi_points = np.flatnonzero(is_chi_point)
+    removal = tuple(
+        (int(x), CHI_POINT) for x in chi_points[np.argsort(rank[chi_points])]
+    )
+    result, mapping = p.induced_subposet(np.flatnonzero(~is_chi_point).tolist())
+    return ReductionReport(p, removal, result, mapping)

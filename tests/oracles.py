@@ -4,14 +4,19 @@ Everything here favours obvious correctness over speed and stays away
 from the library's own derivations wherever a check needs independence:
 order closure by digraph search, Euler characteristics by explicit chain
 enumeration, filters by scanning every subset, contractibility by
-exhaustive beat-point removal in all orders.
+exhaustive beat-point removal in all orders, transports by Moebius
+recursion on each preimage, chi-minimal models by removing one
+chi-point at a time.
 """
 
 import itertools
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from eulerscan import Poset
+from eulerscan.poset import _mobius_matrix
 
 
 def reachability(n, covers):
@@ -122,6 +127,61 @@ def contractible_exhaustive(members, leq_pairs):
         return any(go(frozen - {x}) for x in down | up)
 
     return go(frozenset(members))
+
+
+def _induced_mobius(members, leq_pairs):
+    """mobius_by_recursion on the subposet induced on members, keyed by
+    pairs of positions in members."""
+    index = {a: i for i, a in enumerate(members)}
+    pairs = {(index[a], index[b]) for a, b in leq_pairs if a in index and b in index}
+    return mobius_by_recursion(len(members), pairs)
+
+
+def pushforward_by_definition(f, h):
+    """At each codomain element x, the integral of h over the subposet
+    induced on the preimage of x's prime ideal, as a list of Python ints."""
+    dom_leq = reachability(f.domain.n, f.domain.covers)
+    cod_leq = reachability(f.codomain.n, f.codomain.covers)
+    out = []
+    for x in range(f.codomain.n):
+        members = [a for a in range(f.domain.n) if (f(a), x) in cod_leq]
+        mu = _induced_mobius(members, dom_leq)
+        out.append(sum(h[members[i]] * m for (i, _), m in mu.items()))
+    return out
+
+
+def chi_distinguished_by_definition(f):
+    """True iff the preimage of every prime filter is non-empty and its
+    induced subposet has Euler characteristic 1."""
+    dom_leq = reachability(f.domain.n, f.domain.covers)
+    cod_leq = reachability(f.codomain.n, f.codomain.covers)
+    for x in range(f.codomain.n):
+        members = [a for a in range(f.domain.n) if (x, f(a)) in cod_leq]
+        if not members or sum(_induced_mobius(members, dom_leq).values()) != 1:
+            return False
+    return True
+
+
+def chi_minimal_model_by_iteration(p, tie_break=None):
+    """Remove chi-points one at a time, rebuilding the Moebius table of the
+    surviving subposet after every removal; the chi-point least in the
+    tie-break order goes first.  Returns (removal_sequence, mapping)."""
+    order = list(range(p.n)) if tie_break is None else list(tie_break)
+    rank = {x: i for i, x in enumerate(order)}
+    members = list(range(p.n))
+    leq = p.leq
+    removal = []
+    while members:
+        mu = _mobius_matrix(leq)
+        chi_above = 1 - mu.sum(axis=1)
+        eligible = [i for i in range(len(members)) if chi_above[i] == 1]
+        if not eligible:
+            break
+        i = min(eligible, key=lambda j: rank[members[j]])
+        removal.append((members[i], "chi_point"))
+        del members[i]
+        leq = np.delete(np.delete(leq, i, axis=0), i, axis=1)
+    return tuple(removal), tuple(members)
 
 
 # ----------------------------------------------------------------------

@@ -34,6 +34,7 @@ from eulerscan import (
     pullback,
     pushforward,
     random_network,
+    sensor_placement_plan,
 )
 from oracles import (
     all_filters,
@@ -285,3 +286,16 @@ def test_11_reduction_at_scale():
         uppers = [sum(a == x for a, _ in result.covers) for x in range(result.n)]
         lowers = [sum(b == x for _, b in result.covers) for x in range(result.n)]
         assert 1 not in uppers and 1 not in lowers
+
+
+def test_12_chi_model_and_transport_at_scale():
+    with criterion(12, "chi-minimal model, plan and pushforward at n=400", 5.0):
+        net = random_network([50] * 8, 0.1, 40, 1)
+        p = net.poset
+        assert p.n == 400
+        report = chi_minimal_model(p)
+        assert len(report.removal_sequence) == 24
+        assert sensor_placement_plan(p).members == frozenset(report.mapping)
+        layers = posetzoo.chain(8)
+        f = PosetMap(p, layers, [x // 50 for x in range(p.n)])
+        assert integrate(pushforward(f, net.counting)) == 40

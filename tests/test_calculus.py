@@ -22,6 +22,7 @@ from eulerscan import (
     mobius_coefficients,
     pullback,
     pushforward,
+    random_network,
 )
 from posetzoo import B2, B3, T2, TRELLIS_H
 
@@ -78,6 +79,23 @@ def test_coefficients_reproduce_random_functions():
         form = mobius_coefficients(h)
         assert form.evaluate() == h
         assert form.integral() == integrate(h)
+
+
+def test_coefficients_are_exact_beyond_int64():
+    p = posetzoo.chain(2)
+    h = PosetFunction(p, [2**62, -(2**62) - 5])
+    form = mobius_coefficients(h)
+    assert [c for c, _ in form.terms] == [2**62, -(2**63) - 5]
+    assert form.coefficient_sum() == integrate(h) == -(2**62) - 5
+    assert form.evaluate() == h
+    assert form.integral() == integrate(h)
+
+
+def test_evaluate_raises_when_the_sum_leaves_int64():
+    p = posetzoo.antichain(1)
+    form = FilterLinearForm(p, ((2**62, p.up_set(0)), (2**62, p.up_set(0))))
+    with pytest.raises(OverflowError):
+        form.evaluate()
 
 
 # ----------------------------------------------------------------------
@@ -245,6 +263,74 @@ def test_pushforward_preserves_integral():
         done += 1
 
 
+EXTREMES = [-(2**63), -(2**62), -1, 0, 1, 2**62, 2**63 - 1]
+
+
+def _pushforward_or_overflow(f, h):
+    try:
+        return pushforward(f, h).values.tolist()
+    except OverflowError:
+        return "overflow"
+
+
+def _in_int64(values):
+    return all(-(2**63) <= v < 2**63 for v in values)
+
+
+def test_pushforward_matches_definition_oracle():
+    rng = random.Random(40)
+    done = overflows = 0
+    while done < 300:
+        dom = oracles.random_poset(rng, max_n=7, shuffle=True)
+        cod = oracles.random_poset(rng, max_n=6, shuffle=True)
+        image = oracles.random_order_preserving_image(rng, dom, cod)
+        if image is None:
+            continue
+        f = PosetMap(dom, cod, image)
+        if done % 3 == 0:
+            values = [rng.choice(EXTREMES) for _ in range(dom.n)]
+        else:
+            values = oracles.random_values(rng, dom.n)
+        h = PosetFunction(dom, values)
+        expect = oracles.pushforward_by_definition(f, h)
+        if not _in_int64(expect):
+            expect = "overflow"
+            overflows += 1
+        assert _pushforward_or_overflow(f, h) == expect
+        done += 1
+    assert overflows > 0
+
+
+def test_pushforward_raises_instead_of_wrapping():
+    dom = posetzoo.antichain(3)
+    f = PosetMap.constant(dom, posetzoo.antichain(1), 0)
+    with pytest.raises(OverflowError):
+        pushforward(f, PosetFunction(dom, [2**62] * 3))
+    h = PosetFunction(dom, [2**62, 2**62, -(2**62)])  # partial sums leave int64
+    assert pushforward(f, h).values.tolist() == [2**62]
+
+
+def test_transports_and_coefficients_beyond_n60():
+    # object-dtype Moebius table, values at the int64 edges
+    rng = random.Random(41)
+    widths = [9, 8, 9, 8, 9, 8, 9, 8]
+    p = random_network(widths, 0.3, 0, 41).poset
+    assert p.n == 68
+    chain = posetzoo.chain(len(widths))
+    f = PosetMap(p, chain, [k for k, w in enumerate(widths) for _ in range(w)])
+    for _ in range(4):
+        h = PosetFunction(p, [rng.choice(EXTREMES) for _ in range(p.n)])
+        form = mobius_coefficients(h)
+        assert form.coefficient_sum() == integrate(h)
+        assert form.evaluate() == h
+        expect = oracles.pushforward_by_definition(f, h)
+        assert _pushforward_or_overflow(f, h) == (
+            expect if _in_int64(expect) else "overflow"
+        )
+        assert expect[-1] == integrate(h)  # the top's ideal is everything
+    assert is_chi_distinguished(f) == oracles.chi_distinguished_by_definition(f)
+
+
 def test_pullback_identity_and_constant(trellis):
     h = trellis_h(trellis)
     assert pullback(PosetMap.identity(trellis), h) == h
@@ -281,6 +367,29 @@ def test_bottom_inclusion_into_four_cycle_is_not():
     f = PosetMap(point, cyc, [0])
     # the preimage of the prime filter at the other bottom is empty
     assert not is_chi_distinguished(f)
+
+
+def test_chi_distinguished_matches_definition_oracle():
+    rng = random.Random(42)
+    verdicts = []
+    while len(verdicts) < 300:
+        dom = oracles.random_poset(rng, max_n=7, shuffle=True)
+        if rng.random() < 0.5:
+            # drop a chi-point: an inclusion that is often distinguished
+            chi_points = sorted(classify_points(dom).chi_point)
+            members = [y for y in range(dom.n) if y not in chi_points[:1]]
+            sub, mapping = dom.induced_subposet(members)
+            f = PosetMap.inclusion(sub, dom, mapping)
+        else:
+            cod = oracles.random_poset(rng, max_n=5, shuffle=True)
+            image = oracles.random_order_preserving_image(rng, dom, cod)
+            if image is None:
+                continue
+            f = PosetMap(dom, cod, image)
+        verdict = oracles.chi_distinguished_by_definition(f)
+        assert is_chi_distinguished(f) == verdict
+        verdicts.append(verdict)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_chi_distinguished_pullback_preserves_integral():

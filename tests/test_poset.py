@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 import posetzoo
 from eulerscan import CycleDetected, Poset, SizeLimitExceeded, are_isomorphic
+from eulerscan.poset import _closure, _cover_matrix
 from posetzoo import B2, B3, M1, M2, M3, M4, T1, T2, T3, TRELLIS_COVERS
 
 
@@ -179,6 +180,23 @@ def test_exact_object_arithmetic_above_int64_threshold():
     assert p.mobius().mu.dtype == object
     assert p.euler_characteristic() == 61 - 3 + 1  # one chain, 58 points
     assert p.euler_characteristic() == p.euler_characteristic_by_chains()
+
+
+def test_closure_and_covers_match_boolean_products():
+    rng = random.Random(17)
+    for n in [0, 1, 2, 300] + [rng.randint(3, 90) for _ in range(30)]:
+        ids = rng.sample(range(n), n)
+        adj = np.zeros((n, n), dtype=bool)
+        density = rng.uniform(0.02, 0.5)
+        for i in range(n):
+            for j in range(i + 1, n):
+                adj[ids[i], ids[j]] = rng.random() < density
+        reach = adj | np.eye(n, dtype=bool)
+        while not np.array_equal(reach | (reach @ reach), reach):
+            reach = reach | (reach @ reach)
+        assert np.array_equal(_closure(adj), reach)
+        lt = reach & ~np.eye(n, dtype=bool)
+        assert np.array_equal(_cover_matrix(reach), lt & ~(lt @ lt))
 
 
 # ----------------------------------------------------------------------

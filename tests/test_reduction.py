@@ -11,6 +11,7 @@ from eulerscan import (
     classify_points,
     core,
     is_contractible,
+    random_network,
 )
 from posetzoo import B2, B3
 
@@ -281,6 +282,35 @@ def test_chi_model_preserves_chi_at_every_step():
             members.remove(x)
             assert p.chi_of(members) == chi
         assert report.result.euler_characteristic() == chi
+
+
+def test_chi_model_matches_iteration_oracle():
+    rng = random.Random(29)
+    for _ in range(300):
+        p = oracles.random_poset(rng, max_n=9, shuffle=True)
+        canonical = chi_minimal_model(p)
+        for order in (None, rng.sample(range(p.n), p.n)):
+            report = chi_minimal_model(p, order)
+            expect = oracles.chi_minimal_model_by_iteration(p, order)
+            assert (report.removal_sequence, report.mapping) == expect
+            assert report.mapping == canonical.mapping
+
+
+def test_chi_model_matches_iteration_oracle_beyond_n60():
+    # object-dtype Moebius tables, where the library reads one table
+    rng = random.Random(30)
+    removed = 0
+    for seed in range(10):
+        n, layers = rng.randint(61, 128), rng.randint(3, 8)
+        widths = [n // layers + (k < n % layers) for k in range(layers)]
+        p = random_network(widths, rng.uniform(0.05, 0.4), 0, seed).poset
+        assert p.n == n
+        for tie_break in (None, rng.sample(range(n), n)):
+            report = chi_minimal_model(p, tie_break)
+            expect = oracles.chi_minimal_model_by_iteration(p, tie_break)
+            assert (report.removal_sequence, report.mapping) == expect
+            removed += len(report.removal_sequence)
+    assert removed > 0
 
 
 def test_tie_break_must_be_total():

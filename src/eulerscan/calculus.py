@@ -9,8 +9,9 @@ integer functions (corrupted sensor readings included).  Monotone
 non-negative functions also admit the excursion-set decomposition, kept
 as an independent cross-check route.
 
-Functions take int64 values; out-of-range inputs fail loudly at
-construction instead of wrapping.
+Functions take int64 values.  Out-of-range inputs, and arithmetic or
+transports whose results leave int64, raise ``OverflowError`` instead
+of wrapping.
 """
 
 from __future__ import annotations
@@ -61,14 +62,14 @@ class PosetFunction:
 
     def __add__(self, other: "PosetFunction") -> "PosetFunction":
         self._check_same(other)
-        return PosetFunction(self.parent, self.values + other.values)
+        return PosetFunction(self.parent, self.values.astype(object) + other.values)
 
     def __sub__(self, other: "PosetFunction") -> "PosetFunction":
         self._check_same(other)
-        return PosetFunction(self.parent, self.values - other.values)
+        return PosetFunction(self.parent, self.values.astype(object) - other.values)
 
     def __rmul__(self, scalar: int) -> "PosetFunction":
-        return PosetFunction(self.parent, int(scalar) * self.values)
+        return PosetFunction(self.parent, int(scalar) * self.values.astype(object))
 
     def _check_same(self, other: "PosetFunction"):
         if other.parent is not self.parent:
@@ -184,7 +185,7 @@ def indicator(p: Poset, s: "ElementSet | Iterable[int]") -> PosetFunction:
 
 def _coefficients(h: PosetFunction) -> np.ndarray:
     """``h @ mu`` on Python ints: the Moebius coefficient of every element."""
-    return h.values.astype(object) @ h.parent.mobius().mu.astype(object)
+    return h.values.astype(object) @ h.parent.mobius().mu
 
 
 def mobius_coefficients(h: PosetFunction) -> FilterLinearForm:
@@ -270,7 +271,7 @@ def is_chi_distinguished(f: PosetMap) -> bool:
     # in F, so chi(F) is the sum of the Moebius row sums over F (0 when F
     # is empty).
     inside = f.codomain.leq[:, f.image].astype(object)
-    row_sums = f.domain.mobius().mu.sum(axis=1).astype(object)
+    row_sums = f.domain.mobius().mu.sum(axis=1)
     return bool(((inside @ row_sums) == 1).all())
 
 

@@ -10,9 +10,10 @@ integer Moebius matrix (the exact inverse of the zeta matrix), and an
 alternating count of strictly increasing chains.  They must agree on every
 poset, and the test suite leans on that redundancy.
 
-All arithmetic is exact.  Matrices use int64 up to ``_INT64_SAFE_N``
-elements and fall back to Python-int object arrays beyond that, where
-chain counts could conceivably overflow 64 bits.
+All counting arithmetic is exact: the zeta and Moebius matrices and the
+chain counts are Python-int object arrays at every size.  Only the
+boolean products of the order closure and the cover matrix run in
+float32, where every entry is a count below 2**24.
 """
 
 from __future__ import annotations
@@ -23,13 +24,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import CycleDetected, SizeLimitExceeded
-
-_INT64_SAFE_N = 60
-
-
-def _exact_dtype(n: int):
-    return np.int64 if n <= _INT64_SAFE_N else object
-
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -64,10 +58,7 @@ def _mobius_matrix(leq: np.ndarray) -> np.ndarray:
     mu(x, x) = 1 and mu(x, y) = -sum(mu(x, z) for x <= z < y).
     """
     n = leq.shape[0]
-    dtype = _exact_dtype(n)
-    mu = np.zeros((n, n), dtype=dtype)
-    if n == 0:
-        return mu
+    mu = np.zeros((n, n), dtype=object)
     lt = leq & ~np.eye(n, dtype=bool)
     # |down-set| strictly increases along <, so sorting by it is topological.
     order = np.argsort(leq.sum(axis=0), kind="stable")
@@ -79,8 +70,22 @@ def _mobius_matrix(leq: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _chi_of_leq(leq: np.ndarray) -> int:
-    return int(_mobius_matrix(leq).sum())
+def _chi_by_chains(leq: np.ndarray) -> int:
+    """Euler characteristic of ``leq`` as the alternating count of strict
+    chains (P. Hall's theorem), with no Moebius function involved.
+
+    Entry y of the row vector ``r`` counts the chains of the current
+    length whose top is y; ``r @ lt`` extends each one by a step up.
+    """
+    n = leq.shape[0]
+    lt = (leq & ~np.eye(n, dtype=bool)).astype(np.int64).astype(object)
+    r = np.ones(n, dtype=object)
+    chi, sign = 0, 1
+    while r.any():
+        chi += sign * int(r.sum())
+        sign = -sign
+        r = r @ lt
+    return chi
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
@@ -344,8 +349,8 @@ class Poset:
     # ------------------------------------------------------------------
 
     def zeta(self) -> np.ndarray:
-        """The (0,1) order matrix as an exact integer matrix."""
-        return self.leq.astype(_exact_dtype(self.n))
+        """The (0,1) order matrix as a Python-int matrix."""
+        return self.leq.astype(np.int64).astype(object)
 
     def mobius(self) -> MobiusTable:
         """The Moebius table (cached; construction is single-threaded)."""
@@ -360,26 +365,17 @@ class Poset:
     def euler_characteristic_by_chains(self) -> int:
         """chi via the chain route: alternating count of strict chains.
 
-        The k-th power of the strict order matrix counts chains of k+1
-        elements, so the alternating sum of its totals is the Euler
-        characteristic of the order complex.  Independent of the Moebius
-        recursion; the two must always agree.
+        Counts the chains of each length by extending a row vector one
+        step up the strict order at a time, on Python ints.  Independent
+        of the Moebius recursion; the two must always agree.
         """
-        n = self.n
-        lt = (self.leq & ~np.eye(n, dtype=bool)).astype(_exact_dtype(n))
-        total = n
-        sign = -1
-        power = lt
-        while power.any():
-            total += sign * int(power.sum())
-            sign = -sign
-            power = power @ lt
-        return total
+        return _chi_by_chains(self.leq)
 
     def chi_of(self, s: "ElementSet | Iterable[int]") -> int:
-        """Euler characteristic of the induced subposet on s."""
+        """Euler characteristic of the induced subposet on s, by the chain
+        route (no Moebius table is built)."""
         members = self._member_list(s)
-        return _chi_of_leq(self.leq[np.ix_(members, members)])
+        return _chi_by_chains(self.leq[np.ix_(members, members)])
 
 
 # ----------------------------------------------------------------------

@@ -299,3 +299,15 @@ def test_12_chi_model_and_transport_at_scale():
         layers = posetzoo.chain(8)
         f = PosetMap(p, layers, [x // 50 for x in range(p.n)])
         assert integrate(pushforward(f, net.counting)) == 40
+
+
+def test_13_chain_route_and_excursion_at_scale():
+    with criterion(13, "excursion at n=1000 and chain route at n=2000", 20.0):
+        net = random_network([125] * 8, 0.1, 200, 1)
+        assert net.poset.n == 1000
+        assert integrate_excursion(net.counting) == 200
+        p = random_network([250] * 8, 0.1, 0, 1).poset
+        assert p.n == 2000
+        # cross-checked once against the Moebius route, which takes about
+        # a minute at this size
+        assert p.euler_characteristic_by_chains() == 50068958991

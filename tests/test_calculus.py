@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import posetzoo
@@ -24,7 +26,7 @@ from eulerscan import (
     pushforward,
     random_network,
 )
-from posetzoo import B2, B3, T2, TRELLIS_H
+from posetzoo import B2, B3, M1, M2, M4, T1, T2, T3, TRELLIS_H
 
 
 def trellis_h(p):
@@ -96,6 +98,78 @@ def test_evaluate_raises_when_the_sum_leaves_int64():
     form = FilterLinearForm(p, ((2**62, p.up_set(0)), (2**62, p.up_set(0))))
     with pytest.raises(OverflowError):
         form.evaluate()
+
+
+# ----------------------------------------------------------------------
+# function arithmetic
+# ----------------------------------------------------------------------
+
+
+def test_arithmetic_raises_instead_of_wrapping():
+    h = PosetFunction(posetzoo.antichain(2), [2**62, 1])
+    with pytest.raises(OverflowError):
+        h + h  # int64 would give -2**63
+    with pytest.raises(OverflowError):
+        4 * h  # int64 would give 0
+    with pytest.raises(OverflowError):
+        h - (-2) * h
+    low = PosetFunction(h.parent, [-(2**63), 0])
+    with pytest.raises(OverflowError):
+        -1 * low
+    assert (h + (-1) * h).values.tolist() == [0, 0]
+    assert (low - (-1) * h).values.tolist() == [-(2**62), 1]
+
+
+INT64_EDGE = st.one_of(
+    st.sampled_from(
+        [-(2**63), -(2**63) + 1, -(2**62), -1, 0, 1, 2**62, 2**63 - 2, 2**63 - 1]
+    ),
+    st.integers(-(2**63), 2**63 - 1),
+)
+
+
+def _exact_or_overflow(compute):
+    try:
+        return compute().values.tolist()
+    except OverflowError:
+        return "overflow"
+
+
+def _python_int_answer(values):
+    return values if _in_int64(values) else "overflow"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    pairs=st.lists(st.tuples(INT64_EDGE, INT64_EDGE), max_size=6),
+    scalar=st.one_of(st.integers(-3, 3), INT64_EDGE, st.integers(-(2**70), 2**70)),
+)
+def test_arithmetic_at_int64_edges_is_exact_or_raises(pairs, scalar):
+    a = [x for x, _ in pairs]
+    b = [y for _, y in pairs]
+    p = posetzoo.antichain(len(pairs))
+    h, g = PosetFunction(p, a), PosetFunction(p, b)
+    assert _exact_or_overflow(lambda: h + g) == _python_int_answer(
+        [x + y for x, y in pairs]
+    )
+    assert _exact_or_overflow(lambda: h - g) == _python_int_answer(
+        [x - y for x, y in pairs]
+    )
+    assert _exact_or_overflow(lambda: scalar * h) == _python_int_answer(
+        [scalar * x for x in a]
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(INT64_EDGE, max_size=8))
+def test_monotone_integrals_at_int64_edges_match_python_ints(values):
+    # a monotone non-negative function on a chain integrates to its
+    # maximum by both routes
+    chain = posetzoo.chain(len(values))
+    up = PosetFunction(chain, sorted(abs(v) if v > -(2**63) else 0 for v in values))
+    top = max(up.values.tolist(), default=0)
+    assert integrate(up) == integrate_excursion(up) == top
+    assert mobius_coefficients(up).coefficient_sum() == top
 
 
 # ----------------------------------------------------------------------
@@ -201,6 +275,24 @@ def test_excursion_rejects_negative():
     p = posetzoo.chain(2)
     with pytest.raises(NegativeValues):
         integrate_excursion(PosetFunction(p, [-1, 0]))
+
+
+def test_chain_and_excursion_routes_never_touch_moebius(monkeypatch):
+    # fresh posets, so no cached table can answer for the recursion
+    trellis = posetzoo.trellis()
+    h = trellis_h(trellis)
+    wide = random_network([20] * 4, 0.2, 30, 5)
+
+    def refuse(leq):
+        raise AssertionError("reached the Moebius recursion")
+
+    monkeypatch.setattr("eulerscan.poset._mobius_matrix", refuse)
+    assert trellis.euler_characteristic_by_chains() == 1
+    assert trellis.chi_of([B3, M1, M2, M4, T1, T2, T3]) == 0
+    assert integrate_excursion(h) == 6
+    assert integrate_excursion(wide.counting) == 30  # n=80
+    with pytest.raises(AssertionError):
+        integrate(h)
 
 
 def test_excursion_agrees_with_mobius_and_naive_levels():

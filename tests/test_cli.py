@@ -1,10 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cliharness import DATA, GOLDEN, GOLDEN_COMMANDS, run_cli
 
@@ -258,3 +264,146 @@ def test_emitted_reduced_document_reparses():
     reduced = PosetDocument.from_obj(obj["document"])
     assert reduced.poset().n == 5
     assert reduced.poset().euler_characteristic() == 1
+
+
+# ----------------------------------------------------------------------
+# parser fuzz: exit 0 with agreeing routes, or exit 1 with a message
+# ----------------------------------------------------------------------
+
+TRELLIS = json.loads((DATA / "trellis.json").read_text(encoding="utf-8"))
+FUZZ_INTS = st.one_of(
+    st.integers(-3, 13),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1]),
+)
+FUZZ_JUNK = st.one_of(
+    FUZZ_INTS,
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.text(max_size=3),
+    st.lists(FUZZ_INTS, max_size=3),
+    st.dictionaries(
+        st.sampled_from(["id", "node", "edge", "count"]), FUZZ_INTS, max_size=2
+    ),
+)
+FUZZ_KEYS = st.one_of(
+    st.sampled_from(["0", "10", "11", "00", "+1", " 1", "-0", "x", ""]),
+    FUZZ_INTS.map(str),
+)
+
+
+def _pick(draw, items):
+    return draw(st.integers(0, len(items) - 1)) if items else None
+
+
+def _mutate(draw, doc):
+    # a broken top-level key hides every other mutation, so it is drawn
+    # least often
+    kind = draw(
+        st.sampled_from(
+            ["top"] + 2 * ["element", "function", "value", "cover", "target"]
+        )
+    )
+    if kind == "top":
+        key = draw(
+            st.sampled_from(["elements", "covers", "functions", "targets", "extra"])
+        )
+        if key in doc and draw(st.booleans()):
+            del doc[key]
+        else:
+            doc[key] = draw(FUZZ_JUNK)
+        return
+    elements = doc.get("elements")
+    if kind == "element" and isinstance(elements, list):
+        i = _pick(draw, elements)
+        action = draw(
+            st.sampled_from(["id", "drop-id", "label", "extra", "delete", "copy"])
+        )
+        if i is None or not isinstance(elements[i], dict):
+            elements.append({"id": draw(FUZZ_INTS)})
+        elif action == "id":
+            elements[i]["id"] = draw(st.one_of(FUZZ_INTS, FUZZ_JUNK))
+        elif action == "drop-id":
+            elements[i].pop("id", None)
+        elif action == "label":
+            elements[i]["label"] = draw(FUZZ_JUNK)
+        elif action == "extra":
+            elements[i]["weight"] = draw(FUZZ_JUNK)
+        elif action == "delete":
+            del elements[i]
+        else:
+            elements.append(dict(elements[i]))
+        return
+    tables = doc.get("functions")
+    if kind in ("function", "value") and isinstance(tables, dict) and tables:
+        table = tables[draw(st.sampled_from(sorted(tables)))]
+        if not isinstance(table, dict):
+            return
+        keys = sorted(table)
+        key = keys[_pick(draw, keys)] if keys else draw(FUZZ_KEYS)
+        if kind == "value" and draw(st.booleans()):
+            # a positive factor keeps h monotone, so the excursion route
+            # runs on wide values; a negative one makes it step aside
+            factor = draw(FUZZ_INTS)
+            for k, v in table.items():
+                table[k] = v * factor if isinstance(v, int) else v
+        elif kind == "value":
+            table[key] = draw(st.one_of(FUZZ_INTS, FUZZ_INTS, FUZZ_JUNK))
+        elif draw(st.booleans()):
+            table.pop(key, None)
+        else:
+            table[draw(FUZZ_KEYS)] = table.pop(key, 0)
+        return
+    for name in ("covers", "targets"):
+        items = doc.get(name)
+        if kind == name[:-1] and isinstance(items, list):
+            i = _pick(draw, items)
+            if i is not None and draw(st.booleans()):
+                del items[i]
+            elif name == "covers":
+                pair = st.lists(FUZZ_INTS, min_size=2, max_size=2)
+                items.append(draw(st.one_of(pair, FUZZ_JUNK)))
+            else:
+                target = draw(FUZZ_JUNK)
+                if isinstance(target, dict) and draw(st.booleans()):
+                    edge = st.lists(st.integers(-1, 11), min_size=2, max_size=2)
+                    target["edge"] = draw(edge)
+                items.append(target)
+
+
+@st.composite
+def mutated_trellis(draw):
+    doc = copy.deepcopy(TRELLIS)
+    for _ in range(draw(st.integers(1, 3))):
+        _mutate(draw, doc)
+    return json.dumps(doc)
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(mutated_trellis())
+def test_parser_fuzz_exits_zero_with_agreement_or_one_with_message(text):
+    commands = [
+        ["chi", "--json"],
+        ["integrate", "--function", "h", "--route", "both", "--json"],
+        ["reduce", "--json"],
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        for command, *options in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run_cli(command, "--input", path, *options)
+            if code == 1:
+                assert out == ""
+                assert err.getvalue().startswith("error: "), err.getvalue()
+                continue
+            assert code == 0, (command, out)
+            results = json.loads(out)["results"]
+            assert results.get("routes_agree", True) is True

@@ -175,11 +175,45 @@ def test_chi_empty_poset():
 
 
 def test_exact_object_arithmetic_above_int64_threshold():
-    # 61 elements trips the object-dtype fallback: 0 < 1 < 2 plus 58 dust
+    # 0 < 1 < 2 plus 58 dust: Moebius and zeta matrices hold Python ints
+    # at every size, so there is no int64 threshold to cross at 61
     p = Poset.from_covers(61, [(0, 1), (1, 2)])
     assert p.mobius().mu.dtype == object
     assert p.euler_characteristic() == 61 - 3 + 1  # one chain, 58 points
     assert p.euler_characteristic() == p.euler_characteristic_by_chains()
+    for q in (p, posetzoo.chain(3)):
+        assert {type(v) for v in q.mobius().mu.flat} == {int}
+        assert {type(v) for v in q.zeta().flat} == {int}
+
+
+def _ordinal_sum_of_antichains(layers, width):
+    covers = [
+        (k * width + i, (k + 1) * width + j)
+        for k in range(layers - 1)
+        for i in range(width)
+        for j in range(width)
+    ]
+    return Poset.from_covers(layers * width, covers)
+
+
+def test_both_chi_routes_exact_past_int64():
+    # 40 layers of 3: 4**40 - 1 chains, far past int64; a chain picks a
+    # non-empty set of layers and one element in each, so
+    # chi = sum over k of -(-3)**k * C(40, k) = 1 - (1 - 3)**40
+    p = _ordinal_sum_of_antichains(40, 3)
+    assert p.n == 120
+    expect = 1 - (1 - 3) ** 40
+    assert expect == -1099511627775
+    assert p.euler_characteristic_by_chains() == expect
+    assert p.chi_of(range(p.n)) == expect
+    assert p.euler_characteristic() == expect
+    # chi itself fits int64 above, so counts taken mod 2**64 could still
+    # land on it; at 70 layers chi and mu leave int64 too
+    p = _ordinal_sum_of_antichains(70, 3)
+    expect = 1 - 2**70
+    assert p.euler_characteristic_by_chains() == p.chi_of(range(p.n)) == expect
+    assert p.euler_characteristic() == expect
+    assert p.mobius()[0, p.n - 1] == -(2**68)
 
 
 def test_closure_and_covers_match_boolean_products():

@@ -5,9 +5,10 @@ of filter indicators; its integral against the Euler characteristic is
 the matching combination of filter characteristics, and is independent
 of the chosen combination.  The canonical combination used here comes
 from Moebius inversion over prime filters, which works for arbitrary
-integer functions (corrupted sensor readings included).  Monotone
-non-negative functions also admit the excursion-set decomposition, kept
-as an independent cross-check route.
+integer functions (corrupted sensor readings included); the integral is
+h . R, with R the Moebius row sums.  Monotone non-negative functions
+also admit the excursion-set decomposition, kept as an independent,
+mu-free cross-check route: one weighted chain count.
 
 Functions take int64 values.  Out-of-range inputs, and arithmetic or
 transports whose results leave int64, raise ``OverflowError`` instead
@@ -22,7 +23,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import NegativeValues, NotMonotone, NotOrderPreserving
-from .poset import ElementSet, Poset
+from .poset import ElementSet, Poset, _chi_by_chains, _mobius_row_sums, _mobius_solve
 
 
 class PosetFunction:
@@ -185,7 +186,7 @@ def indicator(p: Poset, s: "ElementSet | Iterable[int]") -> PosetFunction:
 
 def _coefficients(h: PosetFunction) -> np.ndarray:
     """``h @ mu`` on Python ints: the Moebius coefficient of every element."""
-    return h.values.astype(object) @ h.parent.mobius().mu
+    return _mobius_solve(h.parent.leq, h.values[None, :])[0]
 
 
 def mobius_coefficients(h: PosetFunction) -> FilterLinearForm:
@@ -210,30 +211,26 @@ def integrate(h: PosetFunction) -> int:
     every prime filter has chi 1: the dot product of h with the Moebius
     row sums, taken in Python ints.  Valid for arbitrary integer h.
     """
-    row_sums = h.parent.mobius().mu.sum(axis=1).tolist()
+    row_sums = _mobius_row_sums(h.parent.leq).tolist()
     return sum(v * r for v, r in zip(h.values.tolist(), row_sums))
 
 
 def integrate_excursion(h: PosetFunction) -> int:
     """Integral of a monotone non-negative h via its excursion sets.
 
-    Sums chi({h >= i}) for i = 1..max(h), collapsing runs of i with
-    identical excursion sets.  Monotonicity makes each excursion set a
-    filter; without it the decomposition is meaningless, so violations
-    raise instead of returning a number.
+    The integral is the sum of chi({h >= i}) for i = 1..max(h), and
+    monotonicity makes each excursion set a filter.  Swapping the sums
+    (Fubini), a chain lies in {h >= i} exactly when its bottom does, so
+    the sum is one alternating chain count with each chain weighted by h
+    at its bottom.  Without monotonicity and non-negativity the
+    decomposition is meaningless, so violations raise instead of
+    returning a number.
     """
     if not h.is_monotone():
         raise NotMonotone("excursion route requires a monotone function")
     if not h.is_nonnegative():
         raise NegativeValues("excursion route requires non-negative values")
-    total = 0
-    previous = 0
-    for level in sorted(set(h.values.tolist()) - {0}):
-        members = np.flatnonzero(h.values >= level).tolist()
-        chi = h.parent.chi_of(members)
-        total += (level - previous) * chi
-        previous = level
-    return total
+    return _chi_by_chains(h.parent.leq, h.values)
 
 
 def pushforward(f: PosetMap, h: PosetFunction) -> PosetFunction:
@@ -271,8 +268,7 @@ def is_chi_distinguished(f: PosetMap) -> bool:
     # in F, so chi(F) is the sum of the Moebius row sums over F (0 when F
     # is empty).
     inside = f.codomain.leq[:, f.image].astype(object)
-    row_sums = f.domain.mobius().mu.sum(axis=1)
-    return bool(((inside @ row_sums) == 1).all())
+    return bool(((inside @ _mobius_row_sums(f.domain.leq)) == 1).all())
 
 
 def is_ascending_closure_operator(r: PosetMap) -> bool:

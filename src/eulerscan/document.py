@@ -132,6 +132,10 @@ class PosetDocument:
                         _is_int(value),
                         f"function {name!r} has a non-integer value at id {key}",
                     )
+                    _expect(
+                        -(2**63) <= value < 2**63,
+                        f"function {name!r} has a value outside int64 at id {key}",
+                    )
                     parsed[int(key)] = value
                 _expect(
                     set(parsed) == id_set,

@@ -5,15 +5,18 @@ A poset is built from Hasse-diagram cover pairs; the full order is the
 reflexive-transitive closure of the covers and lives in a read-only
 ``n x n`` boolean matrix ``leq``, with ``leq[x, y]`` meaning ``x <= y``.
 
-Two independent Euler-characteristic routes are provided: the sum over the
-integer Moebius matrix (the exact inverse of the zeta matrix), and an
-alternating count of strictly increasing chains.  They must agree on every
-poset, and the test suite leans on that redundancy.
+Two independent Euler-characteristic routes are provided, each one pass
+over a start vector: a solve against the zeta matrix (``_mobius_solve``
+gives ``v @ mu`` for any rows v; chi is the sum of the Moebius row sums),
+and an alternating count of strict chains, optionally weighted by their
+bottoms (``_chi_by_chains``).  They must agree on every poset, and the
+test suite leans on that redundancy.  Only :meth:`Poset.mobius` builds
+the full table.
 
-All counting arithmetic is exact: the zeta and Moebius matrices and the
-chain counts are Python-int object arrays at every size.  Only the
-boolean products of the order closure and the cover matrix run in
-float32, where every entry is a count below 2**24.
+All counting arithmetic is exact: the solves, the zeta and Moebius
+matrices and the chain counts are Python-int object arrays at every
+size.  Only the boolean products of the order closure and the cover
+matrix run in float32, where every entry is a count below 2**24.
 """
 
 from __future__ import annotations
@@ -51,35 +54,42 @@ def _closure(adj: np.ndarray) -> np.ndarray:
         reach = nxt
 
 
-def _mobius_matrix(leq: np.ndarray) -> np.ndarray:
-    """Exact integer inverse of the zeta matrix of ``leq``.
+def _mobius_solve(leq: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``v @ mu`` for each row of ``v``, with mu the Moebius matrix of
+    ``leq``, on Python ints.
 
-    Columns are filled in topological order using the recursion
-    mu(x, x) = 1 and mu(x, y) = -sum(mu(x, z) for x <= z < y).
+    Solves ``c @ zeta = v`` one column at a time in topological order:
+    c[:, y] = v[:, y] - sum(c[:, z] for z < y).  On the identity this is
+    the recursion mu(x, y) = -sum(mu(x, z) for x <= z < y) that defines
+    the table.
     """
-    n = leq.shape[0]
-    mu = np.zeros((n, n), dtype=object)
-    lt = leq & ~np.eye(n, dtype=bool)
+    c = np.array(v, dtype=object)
+    lt = leq & ~np.eye(leq.shape[0], dtype=bool)
     # |down-set| strictly increases along <, so sorting by it is topological.
-    order = np.argsort(leq.sum(axis=0), kind="stable")
-    for y in order:
+    for y in np.argsort(leq.sum(axis=0), kind="stable"):
         below = lt[:, y]
         if below.any():
-            mu[:, y] = -mu[:, below].sum(axis=1)
-        mu[y, y] = 1
-    return mu
+            c[:, y] -= c[:, below].sum(axis=1)
+    return c
 
 
-def _chi_by_chains(leq: np.ndarray) -> int:
-    """Euler characteristic of ``leq`` as the alternating count of strict
-    chains (P. Hall's theorem), with no Moebius function involved.
+def _mobius_row_sums(leq: np.ndarray) -> np.ndarray:
+    """R(x) = sum(mu(x, y) for y): one solve on the opposite order, whose
+    Moebius matrix is mu transposed.  chi({y : y > x}) = 1 - R(x)."""
+    return _mobius_solve(leq.T, np.ones((1, leq.shape[0]), dtype=object))[0]
 
-    Entry y of the row vector ``r`` counts the chains of the current
-    length whose top is y; ``r @ lt`` extends each one by a step up.
+
+def _chi_by_chains(leq: np.ndarray, weights) -> int:
+    """The sum over strict chains x0 < ... < xk of (-1)**k * weights[x0].
+    With unit weights it is the Euler characteristic (P. Hall's theorem),
+    with no Moebius function involved.
+
+    Entry y of the row vector ``r`` sums the weights of the chains of the
+    current length whose top is y; ``r @ lt`` extends each by a step up.
     """
     n = leq.shape[0]
     lt = (leq & ~np.eye(n, dtype=bool)).astype(np.int64).astype(object)
-    r = np.ones(n, dtype=object)
+    r = np.array(weights, dtype=object)
     chi, sign = 0, 1
     while r.any():
         chi += sign * int(r.sum())
@@ -227,9 +237,10 @@ class Poset:
         adj = np.zeros((n, n), dtype=bool)
         for a, b in pairs:
             adj[a, b] = True
-        cls._check_acyclic(adj)
-
         leq = _closure(adj)
+        # a cycle makes two distinct elements reach each other
+        if np.count_nonzero(leq & leq.T) != n:
+            raise CycleDetected("cover relation contains a directed cycle")
         kept = _covers_of_leq(leq)  # every cover of the closure is a given pair
         dropped = tuple(sorted(pairs - kept))
 
@@ -245,22 +256,6 @@ class Poset:
     ) -> "Poset":
         """Internal: wrap an already-valid order matrix."""
         return cls(leq.shape[0], _covers_of_leq(leq), leq.copy(), labels)
-
-    @staticmethod
-    def _check_acyclic(adj: np.ndarray):
-        n = adj.shape[0]
-        indeg = adj.sum(axis=0)
-        ready = [i for i in range(n) if indeg[i] == 0]
-        seen = 0
-        while ready:
-            u = ready.pop()
-            seen += 1
-            for v in np.flatnonzero(adj[u]):
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    ready.append(int(v))
-        if seen != n:
-            raise CycleDetected("cover relation contains a directed cycle")
 
     # ------------------------------------------------------------------
     # element bookkeeping
@@ -353,14 +348,15 @@ class Poset:
         return self.leq.astype(np.int64).astype(object)
 
     def mobius(self) -> MobiusTable:
-        """The Moebius table (cached; construction is single-threaded)."""
+        """The full Moebius table (cached; construction is single-threaded)."""
         if self._mobius is None:
-            self._mobius = MobiusTable(self, _freeze(_mobius_matrix(self.leq)))
+            eye = np.eye(self.n, dtype=np.int64)
+            self._mobius = MobiusTable(self, _freeze(_mobius_solve(self.leq, eye)))
         return self._mobius
 
     def euler_characteristic(self) -> int:
-        """chi via the Moebius route: the sum of all inverse-zeta entries."""
-        return self.mobius().chi()
+        """chi via the Moebius route: the sum of the Moebius row sums."""
+        return int(_mobius_row_sums(self.leq).sum())
 
     def euler_characteristic_by_chains(self) -> int:
         """chi via the chain route: alternating count of strict chains.
@@ -369,13 +365,13 @@ class Poset:
         step up the strict order at a time, on Python ints.  Independent
         of the Moebius recursion; the two must always agree.
         """
-        return _chi_by_chains(self.leq)
+        return _chi_by_chains(self.leq, [1] * self.n)
 
     def chi_of(self, s: "ElementSet | Iterable[int]") -> int:
         """Euler characteristic of the induced subposet on s, by the chain
         route (no Moebius table is built)."""
-        members = self._member_list(s)
-        return _chi_by_chains(self.leq[np.ix_(members, members)])
+        m = self._member_list(s)
+        return _chi_by_chains(self.leq[np.ix_(m, m)], [1] * len(m))
 
 
 # ----------------------------------------------------------------------

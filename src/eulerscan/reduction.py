@@ -15,9 +15,10 @@ down-beat  =>  weak down-beat (strict up-set contractible)  =>  chi-point
 none remain yields the core, which is unique up to isomorphism.
 Removing chi-points until none remain yields the chi-minimal model, and
 that is simply P minus its chi-points, whatever the order.  With R(x)
-the Moebius row sum of x (its strict up-set has chi 1 - R(x)), deleting
-an element z turns R(x) into R(x) - mu(x, z) R(z), and a chi-point has
-R(z) = 0, so no other element gains or loses chi-point status (Rota
+the Moebius row sum of x (one zeta solve; the strict up-set of x has
+chi 1 - R(x)), the chi-points are the elements with R(x) = 0.  Deleting
+an element z turns R(x) into R(x) - mu(x, z) R(z), and R(z) = 0 at a
+chi-point, so no other element gains or loses chi-point status (Rota
 1964).  A caller-chosen total order only orders the reported removal
 sequence.
 """
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poset import Poset, _cover_matrix
+from .poset import Poset, _cover_matrix, _mobius_row_sums
 
 DOWN_BEAT = "down_beat"
 UP_BEAT = "up_beat"
@@ -116,15 +117,15 @@ def _contractible(leq: np.ndarray) -> bool:
 def classify_points(p: Poset) -> PointClass:
     """Flag every element as (weak) beat point and/or chi-point.
 
-    Beat flags are cover degrees and chi-point status is read off the
-    Moebius table (chi of the strict up-set is 1 minus the Moebius row
-    sum).  Weak flags run the contractibility test on the order matrix
-    of each strict up-set and down-set as it stands, since
-    contractibility does not depend on the direction of the order.  Each
-    verdict is independent of the others.
+    Beat flags are cover degrees, and the chi-points are the elements
+    whose Moebius row sum R (one zeta solve) is 0, since chi of the
+    strict up-set is 1 - R.  Weak flags run the contractibility test on
+    the order matrix of each strict up-set and down-set as it stands,
+    since contractibility does not depend on the direction of the order.
+    Each verdict is independent of the others.
     """
     down, up = _beat_flags(p.leq)
-    chi_above = p.mobius().chi_above()
+    row_sums = _mobius_row_sums(p.leq)
     lt = p.leq & ~np.eye(p.n, dtype=bool)
 
     def weak(side: np.ndarray) -> frozenset[int]:
@@ -139,7 +140,7 @@ def classify_points(p: Poset) -> PointClass:
         up_beat=frozenset(np.flatnonzero(up).tolist()),
         weak_down_beat=weak(lt),
         weak_up_beat=weak(lt.T),
-        chi_point=frozenset(i for i in range(p.n) if chi_above[i] == 1),
+        chi_point=frozenset(np.flatnonzero(row_sums == 0).tolist()),
     )
 
 
@@ -164,7 +165,7 @@ def is_contractible(p: Poset) -> bool:
 def chi_minimal_model(
     p: Poset, tie_break: Sequence[int] | None = None
 ) -> ReductionReport:
-    """Remove every chi-point, read once off the cached Moebius table.
+    """Remove every chi-point: the elements whose Moebius row sum is 0.
 
     Removing a chi-point leaves the chi-point status of every other
     element unchanged, so removing chi-points one at a time until none
@@ -173,7 +174,7 @@ def chi_minimal_model(
     reported removal sequence (ascending ids by default).
     """
     rank = _priority(p.n, tie_break)
-    is_chi_point = p.mobius().chi_above() == 1
+    is_chi_point = _mobius_row_sums(p.leq) == 0
     chi_points = np.flatnonzero(is_chi_point)
     removal = tuple(
         (int(x), CHI_POINT) for x in chi_points[np.argsort(rank[chi_points])]

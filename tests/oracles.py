@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from eulerscan import Poset
-from eulerscan.poset import _mobius_matrix
 
 
 def reachability(n, covers):
@@ -90,6 +89,21 @@ def mobius_by_recursion(n, leq_pairs):
         return value
 
     return {(x, y): mu(x, y) for x in range(n) for y in range(n)}
+
+
+def mobius_by_columns(leq):
+    """The full Moebius matrix of an order matrix, filled column by column
+    in topological order with mu(x, x) = 1 and
+    mu(x, y) = -sum(mu(x, z) for x <= z < y), on Python ints."""
+    n = leq.shape[0]
+    mu = np.zeros((n, n), dtype=object)
+    lt = leq & ~np.eye(n, dtype=bool)
+    for y in np.argsort(leq.sum(axis=0), kind="stable"):
+        below = lt[:, y]
+        if below.any():
+            mu[:, y] = -mu[:, below].sum(axis=1)
+        mu[y, y] = 1
+    return mu
 
 
 def beat_points_by_definition(members, leq_pairs):
@@ -172,7 +186,7 @@ def chi_minimal_model_by_iteration(p, tie_break=None):
     leq = p.leq
     removal = []
     while members:
-        mu = _mobius_matrix(leq)
+        mu = mobius_by_columns(leq)
         chi_above = 1 - mu.sum(axis=1)
         eligible = [i for i in range(len(members)) if chi_above[i] == 1]
         if not eligible:

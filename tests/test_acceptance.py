@@ -5,6 +5,7 @@ Every check is exact integer equality; each criterion also carries a
 wall-clock budget that is asserted, not just hoped for.
 """
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -308,6 +309,39 @@ def test_13_chain_route_and_excursion_at_scale():
         assert integrate_excursion(net.counting) == 200
         p = random_network([250] * 8, 0.1, 0, 1).poset
         assert p.n == 2000
-        # cross-checked once against the Moebius route, which takes about
-        # a minute at this size
+        # criterion 14 gets the same value from the Moebius route
         assert p.euler_characteristic_by_chains() == 50068958991
+
+
+def test_14_cli_end_to_end_at_n2000(tmp_path):
+    with criterion(14, "simulate, chi, integrate and reduce at n=2000", 45.0):
+        layers = "x".join(["250"] * 8)
+        code, text = run_cli(
+            "simulate", "--layers", layers, "--density", "0.1", "--targets", "100",
+            "--corrupt", "chi-points", "--seed", "1", "--json",
+        )
+        assert code == 0 and json.loads(text)["verdict"] == "pass"
+        net = random_network([250] * 8, 0.1, 100, 1)
+        assert net.poset.n == 2000
+        path = tmp_path / "n2000.json"
+        path.write_text(
+            PosetDocument.from_parts(
+                ids=range(net.poset.n),
+                covers=net.poset.covers,
+                functions={"h": dict(enumerate(net.counting.values.tolist()))},
+            ).to_text()
+        )
+        code, text = run_cli("chi", "--input", path, "--json")
+        results = json.loads(text)["results"]
+        assert code == 0
+        assert results["chi_mobius"] == results["chi_chains"] == 50068958991
+        code, text = run_cli(
+            "integrate", "--input", path, "--function", "h", "--route", "both",
+            "--json",
+        )
+        results = json.loads(text)["results"]
+        assert code == 0
+        assert results["integral_mobius"] == results["integral_excursion"] == 100
+        code, text = run_cli("reduce", "--input", path, "--mode", "chi", "--json")
+        assert code == 0
+        assert json.loads(text)["results"]["chi_after"] == 50068958991

@@ -1,5 +1,8 @@
+import json
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from eulerscan import (
     PosetMap,
     chi_minimal_model,
     classify_points,
+    enumerate_reduced,
     indicator,
     integrate,
     integrate_excursion,
@@ -26,6 +30,8 @@ from eulerscan import (
     pushforward,
     random_network,
 )
+from cliharness import DATA, run_cli
+from eulerscan.poset import _chi_by_chains, _mobius_row_sums, _mobius_solve
 from posetzoo import B2, B3, M1, M2, M4, T1, T2, T3, TRELLIS_H
 
 
@@ -277,22 +283,98 @@ def test_excursion_rejects_negative():
         integrate_excursion(PosetFunction(p, [-1, 0]))
 
 
+def _refuse(monkeypatch, name):
+    """Make ``name`` raise in every eulerscan namespace that holds it."""
+
+    def refuse(*args):
+        raise AssertionError(f"reached {name}")
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "eulerscan" and hasattr(module, name):
+            monkeypatch.setattr(module, name, refuse)
+
+
 def test_chain_and_excursion_routes_never_touch_moebius(monkeypatch):
     # fresh posets, so no cached table can answer for the recursion
     trellis = posetzoo.trellis()
     h = trellis_h(trellis)
     wide = random_network([20] * 4, 0.2, 30, 5)
-
-    def refuse(leq):
-        raise AssertionError("reached the Moebius recursion")
-
-    monkeypatch.setattr("eulerscan.poset._mobius_matrix", refuse)
+    _refuse(monkeypatch, "_mobius_solve")
     assert trellis.euler_characteristic_by_chains() == 1
     assert trellis.chi_of([B3, M1, M2, M4, T1, T2, T3]) == 0
     assert integrate_excursion(h) == 6
     assert integrate_excursion(wide.counting) == 30  # n=80
     with pytest.raises(AssertionError):
         integrate(h)
+
+
+def _assert_moebius_route_answers(trellis):
+    h = trellis_h(trellis)
+    assert integrate(h) == 6
+    assert mobius_coefficients(h).coefficient_sum() == 6
+    point = posetzoo.antichain(1)
+    assert pushforward(PosetMap.constant(trellis, point, 0), h).values.tolist() == [6]
+    assert is_chi_distinguished(PosetMap.identity(trellis))
+    report = chi_minimal_model(trellis)
+    assert report.removal_sequence == ((B2, "chi_point"), (B3, "chi_point"))
+    assert classify_points(trellis).chi_point == frozenset({B2, B3})
+    assert trellis.euler_characteristic() == 1
+
+
+def test_library_never_builds_the_moebius_table(monkeypatch):
+    trellis = posetzoo.trellis()
+    net = random_network([5, 6, 5], 0.4, 9, 3)
+
+    def refuse(self):
+        raise AssertionError("built the full Moebius table")
+
+    monkeypatch.setattr(Poset, "mobius", refuse)
+    _assert_moebius_route_answers(trellis)
+    assert enumerate_reduced(net).count == 9
+    code, text = run_cli("chi", "--input", DATA / "trellis.json", "--json")
+    assert code == 0 and json.loads(text)["results"]["chi_mobius"] == 1
+    code, text = run_cli(
+        "simulate", "--layers", "4x4x3", "--targets", "10",
+        "--corrupt", "chi-points", "--seed", "7", "--json",
+    )
+    assert code == 0 and json.loads(text)["verdict"] == "pass"
+
+
+def test_moebius_route_never_touches_chain_count(monkeypatch):
+    trellis = posetzoo.trellis()
+    _refuse(monkeypatch, "_chi_by_chains")
+    with pytest.raises(AssertionError):
+        trellis.euler_characteristic_by_chains()
+    _assert_moebius_route_answers(trellis)
+
+
+INT64_EDGES = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_zeta_solve_and_weighted_chain_count_match_oracles(seed, data):
+    rng = random.Random(seed)
+    p = oracles.random_poset(rng, max_n=7, shuffle=True)
+    n = p.n
+    mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
+    values = st.one_of(INT64_EDGES, st.integers(-5, 5))
+    h = data.draw(st.lists(values, min_size=n, max_size=n))
+    table = _mobius_solve(p.leq, np.eye(n, dtype=np.int64)).tolist()
+    assert table == [[mu[(x, y)] for y in range(n)] for x in range(n)]
+    ones = np.ones((1, n), dtype=object)
+    column_sums = [sum(mu[(x, y)] for x in range(n)) for y in range(n)]
+    row_sums = [sum(mu[(x, y)] for y in range(n)) for x in range(n)]
+    assert _mobius_solve(p.leq, ones)[0].tolist() == column_sums
+    assert _mobius_row_sums(p.leq).tolist() == row_sums
+    coefficients = [sum(h[x] * mu[(x, y)] for x in range(n)) for y in range(n)]
+    assert _mobius_solve(p.leq, np.array([h], dtype=object))[0].tolist() == coefficients
+    # the Fubini identity behind the excursion route holds for any h
+    dot = sum(v * r for v, r in zip(h, row_sums))
+    assert _chi_by_chains(p.leq, h) == dot == integrate(PosetFunction(p, h))
 
 
 def test_excursion_agrees_with_mobius_and_naive_levels():

@@ -151,6 +151,32 @@ def test_exit_one_on_function_value_overflow(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["chi"],
+        ["integrate", "--function", "h"],
+        ["reduce", "--mode", "chi"],
+        ["reduce", "--mode", "chi", "--emit-document", "--json"],
+        ["export-dot", "--function", "h"],
+    ],
+    ids=["chi", "integrate", "reduce", "emit-document", "export-dot"],
+)
+def test_exit_one_naming_function_and_id_on_value_outside_int64(
+    tmp_path, capsys, options
+):
+    doc = json.loads((DATA / "chain5.json").read_text(encoding="utf-8"))
+    doc["functions"] = {"h": {str(i): [0, 1, 1, 2, 2**63][i] for i in range(5)}}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    command, *rest = options
+    code, out = run_cli(command, "--input", path, *rest)
+    assert code == 1
+    assert out == ""
+    err = capsys.readouterr().err
+    assert err == "error: function 'h' has a value outside int64 at id 4\n"
+
+
 def test_integrate_both_routes_agree_beyond_int64(tmp_path):
     big = 2**62
     doc = tmp_path / "big.json"

@@ -35,6 +35,33 @@ def test_cycle_rejected():
         Poset.from_covers(1, [(0, 0)])
 
 
+def test_cycle_detected_exactly_when_two_elements_reach_each_other():
+    rng = random.Random(16)
+    raised = 0
+    for _ in range(400):
+        n = rng.randint(2, 12)
+        ids = rng.sample(range(n), n)
+        density = rng.uniform(0.05, 0.5)
+        pairs = [
+            (ids[i], ids[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if rng.random() < density
+        ]
+        if rng.random() < 0.5:
+            i, j = sorted(rng.sample(range(n), 2))
+            pairs.append((ids[j], ids[i]))  # a back edge, cyclic iff i reaches j
+        reach = oracles.reachability(n, pairs)
+        cyclic = any(a != b and (b, a) in reach for a, b in reach)
+        if cyclic:
+            raised += 1
+            with pytest.raises(CycleDetected, match="directed cycle"):
+                Poset.from_covers(n, pairs)
+        else:
+            assert Poset.from_covers(n, pairs).n == n
+    assert 50 < raised < 200
+
+
 def test_duplicate_covers_ignored():
     p = Poset.from_covers(2, [(0, 1), (0, 1)])
     assert p.covers == frozenset({(0, 1)})

@@ -17,13 +17,14 @@ of wrapping.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from .errors import NegativeValues, NotMonotone, NotOrderPreserving
-from .poset import ElementSet, Poset, _chi_by_chains, _mobius_row_sums, _mobius_solve
+from .poset import ElementSet, Poset, _chi_by_chains, _mobius_solve
 
 
 class PosetFunction:
@@ -32,7 +33,8 @@ class PosetFunction:
     __slots__ = ("parent", "values")
 
     def __init__(self, parent: Poset, values: Iterable[int]):
-        arr = np.array(list(values), dtype=np.int64)  # OverflowError if too wide
+        # OverflowError if too wide, TypeError if not an integer
+        arr = np.array([operator.index(v) for v in values], dtype=np.int64)
         if arr.shape != (parent.n,):
             raise ValueError(f"expected {parent.n} values, got {arr.shape}")
         arr.flags.writeable = False
@@ -70,7 +72,9 @@ class PosetFunction:
         return PosetFunction(self.parent, self.values.astype(object) - other.values)
 
     def __rmul__(self, scalar: int) -> "PosetFunction":
-        return PosetFunction(self.parent, int(scalar) * self.values.astype(object))
+        return PosetFunction(
+            self.parent, operator.index(scalar) * self.values.astype(object)
+        )
 
     def _check_same(self, other: "PosetFunction"):
         if other.parent is not self.parent:
@@ -78,7 +82,7 @@ class PosetFunction:
 
     def with_value(self, x: int, value: int) -> "PosetFunction":
         vals = self.values.copy()
-        vals[x] = value
+        vals[x] = operator.index(value)
         return PosetFunction(self.parent, vals)
 
     def is_monotone(self) -> bool:
@@ -111,7 +115,7 @@ class FilterLinearForm:
         ints (a coefficient may leave int64 even when the sum does not)."""
         vals = np.zeros(self.parent.n, dtype=object)
         for coeff, q in self.terms:
-            vals[q.mask()] += int(coeff)
+            vals[q.mask()] += operator.index(coeff)
         return PosetFunction(self.parent, vals)
 
     def integral(self) -> int:
@@ -128,7 +132,7 @@ class PosetMap:
     __slots__ = ("domain", "codomain", "image", "_order_preserving")
 
     def __init__(self, domain: Poset, codomain: Poset, image: Iterable[int]):
-        img = np.array([int(x) for x in image], dtype=np.int64)
+        img = np.array([operator.index(x) for x in image], dtype=np.int64)
         if img.shape != (domain.n,):
             raise ValueError(f"expected {domain.n} image entries, got {img.shape}")
         if domain.n and ((img < 0) | (img >= codomain.n)).any():
@@ -211,7 +215,7 @@ def integrate(h: PosetFunction) -> int:
     every prime filter has chi 1: the dot product of h with the Moebius
     row sums, taken in Python ints.  Valid for arbitrary integer h.
     """
-    row_sums = _mobius_row_sums(h.parent.leq).tolist()
+    row_sums = h.parent._row_sums().tolist()
     return sum(v * r for v, r in zip(h.values.tolist(), row_sums))
 
 
@@ -268,7 +272,7 @@ def is_chi_distinguished(f: PosetMap) -> bool:
     # in F, so chi(F) is the sum of the Moebius row sums over F (0 when F
     # is empty).
     inside = f.codomain.leq[:, f.image].astype(object)
-    return bool(((inside @ _mobius_row_sums(f.domain.leq)) == 1).all())
+    return bool(((inside @ f.domain._row_sums()) == 1).all())
 
 
 def is_ascending_closure_operator(r: PosetMap) -> bool:

@@ -10,6 +10,7 @@ example a simulation whose estimates miss the true count).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -50,21 +51,17 @@ class RunReport:
         return 2 if self.verdict == "fail" else 0
 
     def to_obj(self) -> dict:
-        out: dict = {"command": self.command}
-        if self.input_name is not None:
-            out["input"] = self.input_name
-        if self.digest is not None:
-            out["digest"] = self.digest
-        if self.seed is not None:
-            out["seed"] = self.seed
-        if self.options:
-            out["options"] = self.options
-        out["results"] = self.results
-        if self.verdict is not None:
-            out["verdict"] = self.verdict
-        if self.document is not None:
-            out["document"] = self.document
-        return out
+        out = {
+            "command": self.command,
+            "input": self.input_name,
+            "digest": self.digest,
+            "seed": self.seed,
+            "options": self.options or None,
+            "results": self.results,
+            "verdict": self.verdict,
+            "document": self.document,
+        }
+        return {key: value for key, value in out.items() if value is not None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2, ensure_ascii=False) + "\n"
@@ -100,15 +97,13 @@ def _load(path: str) -> tuple[PosetDocument, str, str]:
 # ----------------------------------------------------------------------
 
 
-def cmd_chi(doc: PosetDocument, input_name=None, digest=None) -> RunReport:
+def cmd_chi(doc: PosetDocument) -> RunReport:
     p = doc.poset()
     via_mobius = p.euler_characteristic()
     via_chains = p.euler_characteristic_by_chains()
     agree = via_mobius == via_chains
     return RunReport(
         command="chi",
-        input_name=input_name,
-        digest=digest,
         results={
             "chi_mobius": via_mobius,
             "chi_chains": via_chains,
@@ -118,9 +113,7 @@ def cmd_chi(doc: PosetDocument, input_name=None, digest=None) -> RunReport:
     )
 
 
-def cmd_integrate(
-    doc: PosetDocument, function_name: str, route: str, input_name=None, digest=None
-) -> RunReport:
+def cmd_integrate(doc: PosetDocument, function_name: str, route: str) -> RunReport:
     h = doc.function(function_name)
     results: dict = {"function": function_name, "route": route}
     verdict = "pass"
@@ -140,8 +133,6 @@ def cmd_integrate(
             results["excursion_skipped"] = type(exc).__name__
     return RunReport(
         command="integrate",
-        input_name=input_name,
-        digest=digest,
         options={"function": function_name, "route": route},
         results=results,
         verdict=verdict,
@@ -149,27 +140,18 @@ def cmd_integrate(
 
 
 def cmd_reduce(
-    doc: PosetDocument,
-    mode: str,
-    tie_break: str,
-    emit_document: bool = False,
-    input_name=None,
-    digest=None,
+    doc: PosetDocument, mode: str, tie_break: str, emit_document: bool = False
 ) -> RunReport:
     p = doc.poset()
     order = None if tie_break == "asc" else list(reversed(range(p.n)))
     report = core(p, order) if mode == "core" else chi_minimal_model(p, order)
+    survivors = [doc.doc_id(x) for x in report.mapping]
     reduced_doc = None
     if emit_document:
-        survivors = [doc.doc_id(x) for x in report.mapping]
-        dense_of_result = {i: report.mapping[i] for i in range(report.result.n)}
         reduced_doc = PosetDocument.from_parts(
             ids=survivors,
             labels={d: doc.labels[d] for d in survivors if d in doc.labels},
-            covers=[
-                (doc.doc_id(dense_of_result[a]), doc.doc_id(dense_of_result[b]))
-                for a, b in report.result.covers
-            ],
+            covers=[(survivors[a], survivors[b]) for a, b in report.result.covers],
             functions={
                 name: {d: table[d] for d in survivors}
                 for name, table in doc.functions.items()
@@ -177,15 +159,13 @@ def cmd_reduce(
         ).to_obj()
     return RunReport(
         command="reduce",
-        input_name=input_name,
-        digest=digest,
         options={"mode": mode, "tie_break": tie_break},
         results={
             "removal_sequence": [
                 [doc.doc_id(x), reason] for x, reason in report.removal_sequence
             ],
             "removed": len(report.removal_sequence),
-            "surviving": [doc.doc_id(x) for x in report.mapping],
+            "surviving": survivors,
             "chi_before": p.euler_characteristic(),
             "chi_after": report.result.euler_characteristic(),
         },
@@ -200,18 +180,15 @@ def cmd_simulate(
     net = random_network(sizes, density, targets, seed)
     true_count = net.target_count
 
-    corrupted: dict[int, int] = {}
     if corrupt_mode == "none":
-        readings = net.counting
+        noise = NoiseSpec({})
     elif corrupt_mode == "chi-points":
-        removable = chi_minimal_model(net.poset).removed_ids()
-        noise = NoiseSpec.random(sorted(removable), seed=seed + 1000003)
-        corrupted = dict(noise.corrupted)
-        readings = corrupt(net, noise)
+        # the chi-points (R == 0) in ascending order, which fixes the noise draws
+        chi_points = [x for x, r in enumerate(net.poset._row_sums()) if r == 0]
+        noise = NoiseSpec.random(chi_points, seed=seed + 1000003)
     else:
         noise = NoiseSpec(_parse_corrupt_list(corrupt_mode))
-        corrupted = dict(noise.corrupted)
-        readings = corrupt(net, noise)
+    readings = corrupt(net, noise)
 
     full_estimate = integrate(readings)
     reduced_note = None
@@ -229,7 +206,7 @@ def cmd_simulate(
         "nodes": net.poset.n,
         "cover_edges": len(net.poset.covers),
         "true_count": true_count,
-        "corrupted": {str(k): corrupted[k] for k in sorted(corrupted)},
+        "corrupted": {str(k): noise.corrupted[k] for k in sorted(noise.corrupted)},
         "full_estimate": full_estimate,
         "reduced_estimate": reduced_estimate,
         "reduced_support_size": support_size,
@@ -250,10 +227,6 @@ def cmd_simulate(
         results=results,
         verdict="pass" if ok else "fail",
     )
-
-
-def cmd_export_dot(doc: PosetDocument, function_name: str | None = None) -> str:
-    return to_dot(doc, function_name)
 
 
 def _parse_layers(text: str) -> list[int]:
@@ -286,6 +259,7 @@ def _parse_corrupt_list(text: str) -> dict[int, int]:
 # ----------------------------------------------------------------------
 
 
+@functools.cache  # built on first use, not at import; parse_args never mutates it
 def _build_parser() -> _Parser:
     parser = _Parser(prog="euler-scan", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -316,8 +290,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--targets", type=int, default=0)
     p.add_argument("--corrupt", default="none", help="none | chi-points | ID=VALUE[,..]")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output")
-    p.add_argument("--json", action="store_true")
+    with_io(p, needs_input=False)
 
     p = sub.add_parser("export-dot", help="Hasse diagram as DOT")
     p.add_argument("--input", required=True)
@@ -336,33 +309,24 @@ def _emit(text: str, output: str | None):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
-        if args.command == "chi":
-            doc, name, digest = _load(args.input)
-            report = cmd_chi(doc, name, digest)
-        elif args.command == "integrate":
-            doc, name, digest = _load(args.input)
-            report = cmd_integrate(doc, args.function, args.route, name, digest)
-        elif args.command == "reduce":
-            doc, name, digest = _load(args.input)
-            report = cmd_reduce(
-                doc, args.mode, args.tie_break, args.emit_document, name, digest
-            )
-        elif args.command == "simulate":
+        args = _build_parser().parse_args(argv)
+        if args.command == "simulate":
             report = cmd_simulate(
                 args.layers, args.density, args.targets, args.corrupt, args.seed
             )
-        else:  # export-dot
-            doc, _, _ = _load(args.input)
-            _emit(cmd_export_dot(doc, args.function), args.output)
-            return 0
+        else:
+            doc, name, digest = _load(args.input)
+            if args.command == "export-dot":
+                _emit(to_dot(doc, args.function), args.output)
+                return 0
+            if args.command == "chi":
+                report = cmd_chi(doc)
+            elif args.command == "integrate":
+                report = cmd_integrate(doc, args.function, args.route)
+            else:  # reduce
+                report = cmd_reduce(doc, args.mode, args.tie_break, args.emit_document)
+            report.input_name, report.digest = name, digest
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,6 +10,7 @@ and corrupting readings at chi-points cannot change that integral.
 
 from __future__ import annotations
 
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,11 +34,11 @@ class TargetPosition:
 
     @classmethod
     def at_node(cls, x: int) -> "TargetPosition":
-        return cls(kind="node", node=int(x))
+        return cls(kind="node", node=operator.index(x))
 
     @classmethod
     def on_edge(cls, lower: int, upper: int) -> "TargetPosition":
-        return cls(kind="edge", edge=(int(lower), int(upper)))
+        return cls(kind="edge", edge=(operator.index(lower), operator.index(upper)))
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,7 @@ class NoiseSpec:
         cls, ids: Iterable[int], seed: int, low: int = -100, high: int = 100
     ) -> "NoiseSpec":
         rng = random.Random(seed)
-        return cls({int(x): rng.randint(low, high) for x in ids}, seed=seed)
+        return cls({operator.index(x): rng.randint(low, high) for x in ids}, seed=seed)
 
 
 class SensorNetwork:
@@ -113,11 +114,16 @@ def corrupt(net: SensorNetwork, noise: NoiseSpec) -> PosetFunction:
     """The counting function with readings replaced at the corrupted nodes.
 
     The result may be non-monotone; integrate it with the Moebius route.
+    A replacement reading outside int64 raises ``OverflowError`` naming
+    its element.
     """
     vals = net.counting.values.copy()
     for x, v in noise.corrupted.items():
+        x, v = operator.index(x), operator.index(v)
         if not 0 <= x < net.poset.n:
             raise ValueError(f"corrupted element {x} does not exist")
+        if not -(2**63) <= v < 2**63:
+            raise OverflowError(f"reading {v} for element {x} lies outside int64")
         vals[x] = v
     return PosetFunction(net.poset, vals)
 

@@ -10,8 +10,10 @@ over a start vector: a solve against the zeta matrix (``_mobius_solve``
 gives ``v @ mu`` for any rows v; chi is the sum of the Moebius row sums),
 and an alternating count of strict chains, optionally weighted by their
 bottoms (``_chi_by_chains``).  They must agree on every poset, and the
-test suite leans on that redundancy.  Only :meth:`Poset.mobius` builds
-the full table.
+test suite leans on that redundancy.  Each poset solves its Moebius row
+sums R once and keeps them, frozen, in its one cache slot; every reader
+of R (chi, integrals, chi-points, point classes, chi-distinguished maps)
+shares that vector.  Only :meth:`Poset.mobius` builds the full table.
 
 All counting arithmetic is exact: the solves, the zeta and Moebius
 matrices and the chain counts are Python-int object arrays at every
@@ -21,6 +23,7 @@ matrix run in float32, where every entry is a count below 2**24.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -187,11 +190,13 @@ class Poset:
     """A finite partial order on the elements ``0..n-1``.
 
     Instances are immutable after construction and safe to share between
-    any number of concurrent readers.  Use :meth:`from_covers` to build
-    one; the plain constructor trusts its arguments.
+    any number of concurrent readers: the one cache, the Moebius row sums,
+    is filled idempotently (racing readers store equal frozen vectors).
+    Use :meth:`from_covers` to build one; the plain constructor trusts its
+    arguments.
     """
 
-    __slots__ = ("n", "labels", "covers", "leq", "dropped_covers", "_mobius")
+    __slots__ = ("n", "labels", "covers", "leq", "dropped_covers", "_r")
 
     def __init__(
         self,
@@ -206,7 +211,7 @@ class Poset:
         self.leq = _freeze(leq)
         self.labels = labels
         self.dropped_covers = dropped_covers
-        self._mobius: MobiusTable | None = None
+        self._r: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -227,7 +232,7 @@ class Poset:
         """
         pairs = set()
         for a, b in covers:
-            a, b = int(a), int(b)
+            a, b = operator.index(a), operator.index(b)
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"cover ({a}, {b}) references ids outside 0..{n - 1}")
             if a == b:
@@ -265,7 +270,7 @@ class Poset:
         return self.labels[x] if self.labels is not None else str(x)
 
     def subset(self, members: Iterable[int]) -> ElementSet:
-        return ElementSet(self, frozenset(int(x) for x in members))
+        return ElementSet(self, frozenset(operator.index(x) for x in members))
 
     def all_elements(self) -> ElementSet:
         return ElementSet(self, frozenset(range(self.n)))
@@ -275,7 +280,7 @@ class Poset:
             if s.parent is not self:
                 raise ValueError("element set belongs to a different poset")
             return sorted(s.members)
-        out = sorted(int(x) for x in s)
+        out = sorted(operator.index(x) for x in s)
         for x in out:
             if not 0 <= x < self.n:
                 raise ValueError(f"element id {x} out of range")
@@ -348,15 +353,20 @@ class Poset:
         return self.leq.astype(np.int64).astype(object)
 
     def mobius(self) -> MobiusTable:
-        """The full Moebius table (cached; construction is single-threaded)."""
-        if self._mobius is None:
-            eye = np.eye(self.n, dtype=np.int64)
-            self._mobius = MobiusTable(self, _freeze(_mobius_solve(self.leq, eye)))
-        return self._mobius
+        """The full Moebius table, built by one solve on each call."""
+        eye = np.eye(self.n, dtype=np.int64)
+        return MobiusTable(self, _freeze(_mobius_solve(self.leq, eye)))
+
+    def _row_sums(self) -> np.ndarray:
+        """The Moebius row sums R, solved on first use and then shared
+        read-only by every reader of this poset."""
+        if self._r is None:
+            self._r = _freeze(_mobius_row_sums(self.leq))
+        return self._r
 
     def euler_characteristic(self) -> int:
         """chi via the Moebius route: the sum of the Moebius row sums."""
-        return int(_mobius_row_sums(self.leq).sum())
+        return int(self._row_sums().sum())
 
     def euler_characteristic_by_chains(self) -> int:
         """chi via the chain route: alternating count of strict chains.

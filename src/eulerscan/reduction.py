@@ -25,12 +25,13 @@ sequence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .poset import Poset, _cover_matrix, _mobius_row_sums
+from .poset import Poset, _cover_matrix, _mobius_solve
 
 DOWN_BEAT = "down_beat"
 UP_BEAT = "up_beat"
@@ -75,7 +76,7 @@ def _priority(n: int, tie_break: Sequence[int] | None) -> np.ndarray:
     """Turn a total order on ids into a rank array (lower rank goes first)."""
     if tie_break is None:
         return np.arange(n)
-    order = [int(x) for x in tie_break]
+    order = [operator.index(x) for x in tie_break]
     if sorted(order) != list(range(n)):
         raise ValueError("tie_break must be a permutation of all element ids")
     return np.argsort(order)  # the inverse permutation
@@ -118,29 +119,35 @@ def classify_points(p: Poset) -> PointClass:
     """Flag every element as (weak) beat point and/or chi-point.
 
     Beat flags are cover degrees, and the chi-points are the elements
-    whose Moebius row sum R (one zeta solve) is 0, since chi of the
-    strict up-set is 1 - R.  Weak flags run the contractibility test on
-    the order matrix of each strict up-set and down-set as it stands,
-    since contractibility does not depend on the direction of the order.
-    Each verdict is independent of the others.
+    whose Moebius row sum R is 0, since chi of the strict up-set is
+    1 - R.  The weak flags follow the reducibility ladder: the strict
+    up-set of a down-beat point has a least element, so it is
+    contractible, and a contractible set has chi 1.  So the weak
+    down-beat points are the down-beat points plus the other chi-points
+    whose strict up-set passes the contractibility test, and weak up-beat
+    is the dual, with the Moebius column sums (one more solve) in place
+    of R.  The test runs on the order matrix of the strict up-set or
+    down-set as it stands, since contractibility does not depend on the
+    direction of the order.
     """
     down, up = _beat_flags(p.leq)
-    row_sums = _mobius_row_sums(p.leq)
+    is_chi_point = p._row_sums() == 0
+    is_dual_chi_point = _mobius_solve(p.leq, np.ones((1, p.n), dtype=object))[0] == 0
     lt = p.leq & ~np.eye(p.n, dtype=bool)
 
-    def weak(side: np.ndarray) -> frozenset[int]:
+    def weak(beat, chi_point, side) -> frozenset[int]:
         # row x of ``side`` masks the strict up-set (or down-set) of x
-        return frozenset(
-            x for x in range(p.n) if _contractible(p.leq[np.ix_(side[x], side[x])])
-        )
+        tested = np.flatnonzero(chi_point & ~beat).tolist()
+        passed = [x for x in tested if _contractible(p.leq[np.ix_(side[x], side[x])])]
+        return frozenset(np.flatnonzero(beat).tolist() + passed)
 
     return PointClass(
         parent=p,
         down_beat=frozenset(np.flatnonzero(down).tolist()),
         up_beat=frozenset(np.flatnonzero(up).tolist()),
-        weak_down_beat=weak(lt),
-        weak_up_beat=weak(lt.T),
-        chi_point=frozenset(np.flatnonzero(row_sums == 0).tolist()),
+        weak_down_beat=weak(down, is_chi_point, lt),
+        weak_up_beat=weak(up, is_dual_chi_point, lt.T),
+        chi_point=frozenset(np.flatnonzero(is_chi_point).tolist()),
     )
 
 
@@ -174,7 +181,7 @@ def chi_minimal_model(
     reported removal sequence (ascending ids by default).
     """
     rank = _priority(p.n, tie_break)
-    is_chi_point = _mobius_row_sums(p.leq) == 0
+    is_chi_point = p._row_sums() == 0
     chi_points = np.flatnonzero(is_chi_point)
     removal = tuple(
         (int(x), CHI_POINT) for x in chi_points[np.argsort(rank[chi_points])]

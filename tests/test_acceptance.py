@@ -345,3 +345,18 @@ def test_14_cli_end_to_end_at_n2000(tmp_path):
         code, text = run_cli("reduce", "--input", path, "--mode", "chi", "--json")
         assert code == 0
         assert json.loads(text)["results"]["chi_after"] == 50068958991
+
+
+def test_15_classify_points_at_n1000():
+    with criterion(15, "classify_points at n=1000", 10.0):
+        p = random_network([125] * 8, 0.02, 0, 1).poset
+        assert p.n == 1000
+        flags = classify_points(p)
+        counts = [
+            len(flags.down_beat),
+            len(flags.up_beat),
+            len(flags.weak_down_beat),
+            len(flags.weak_up_beat),
+            len(flags.chi_point),
+        ]
+        assert counts == [170, 185, 196, 216, 203]

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,13 +13,17 @@ import posetzoo
 from eulerscan import (
     FilterLinearForm,
     NegativeValues,
+    NoiseSpec,
     NotMonotone,
     NotOrderPreserving,
     Poset,
     PosetFunction,
     PosetMap,
+    TargetPosition,
     chi_minimal_model,
     classify_points,
+    core,
+    corrupt,
     enumerate_reduced,
     indicator,
     integrate,
@@ -30,7 +35,7 @@ from eulerscan import (
     pushforward,
     random_network,
 )
-from cliharness import DATA, run_cli
+from cliharness import DATA, GOLDEN, run_cli
 from eulerscan.poset import _chi_by_chains, _mobius_row_sums, _mobius_solve
 from posetzoo import B2, B3, M1, M2, M4, T1, T2, T3, TRELLIS_H
 
@@ -124,6 +129,39 @@ def test_arithmetic_raises_instead_of_wrapping():
         -1 * low
     assert (h + (-1) * h).values.tolist() == [0, 0]
     assert (low - (-1) * h).values.tolist() == [-(2**62), 1]
+
+
+CHAIN3 = posetzoo.chain(3)  # 0 < 1 < 2
+NET3 = random_network([3], 0, 0, 1)
+# each site takes an integer argument v
+INTEGER_SITES = {
+    "from_covers": lambda v: Poset.from_covers(3, [(v, 2)]),
+    "subset": lambda v: CHAIN3.subset([v]),
+    "member_list": lambda v: CHAIN3.chi_of([0, v]),
+    "function_values": lambda v: PosetFunction(CHAIN3, [0, v, 2]),
+    "with_value": lambda v: PosetFunction(CHAIN3, [0, 1, 2]).with_value(1, v),
+    "scalar": lambda v: PosetFunction(CHAIN3, [0, 1, 2]).__rmul__(v),
+    "map_image": lambda v: PosetMap(CHAIN3, CHAIN3, [0, v, 2]),
+    "form_coefficient": lambda v: FilterLinearForm(
+        CHAIN3, ((v, CHAIN3.up_set(1)),)
+    ).evaluate(),
+    "target_node": lambda v: TargetPosition.at_node(v),
+    "target_edge": lambda v: TargetPosition.on_edge(0, v),
+    "noise_ids": lambda v: NoiseSpec.random([v], seed=1),
+    "corrupt_element": lambda v: corrupt(NET3, NoiseSpec({v: 0})),
+    "corrupt_value": lambda v: corrupt(NET3, NoiseSpec({0: v})),
+    "tie_break": lambda v: core(CHAIN3, [0, v, 2]),
+}
+
+
+@pytest.mark.parametrize(
+    "value", [1.0, np.float64(1.0), "1"], ids=["float", "np.float64", "str"]
+)
+@pytest.mark.parametrize("site", sorted(INTEGER_SITES))
+def test_integer_arguments_are_checked_not_truncated(site, value):
+    INTEGER_SITES[site](1)  # the integer itself is accepted
+    with pytest.raises(TypeError):
+        INTEGER_SITES[site](value)
 
 
 INT64_EDGE = st.one_of(
@@ -283,15 +321,21 @@ def test_excursion_rejects_negative():
         integrate_excursion(PosetFunction(p, [-1, 0]))
 
 
+def _wrap(monkeypatch, name, wrap):
+    """Replace ``name`` by ``wrap(original)`` in every eulerscan namespace
+    that holds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "eulerscan" and hasattr(module, name):
+            monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+
 def _refuse(monkeypatch, name):
     """Make ``name`` raise in every eulerscan namespace that holds it."""
 
     def refuse(*args):
         raise AssertionError(f"reached {name}")
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "eulerscan" and hasattr(module, name):
-            monkeypatch.setattr(module, name, refuse)
+    _wrap(monkeypatch, name, lambda original: refuse)
 
 
 def test_chain_and_excursion_routes_never_touch_moebius(monkeypatch):
@@ -338,6 +382,34 @@ def test_library_never_builds_the_moebius_table(monkeypatch):
         "--corrupt", "chi-points", "--seed", "7", "--json",
     )
     assert code == 0 and json.loads(text)["verdict"] == "pass"
+
+
+def test_simulate_solves_row_sums_once_and_builds_one_model(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        def wrap(original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return call
+
+        return wrap
+
+    def refuse(self):
+        raise AssertionError("built the full Moebius table")
+
+    for name in ("_mobius_solve", "chi_minimal_model"):
+        _wrap(monkeypatch, name, counted(name))
+    monkeypatch.setattr(Poset, "mobius", refuse)
+    code, text = run_cli(
+        "simulate", "--layers", "4x4x3", "--targets", "10",
+        "--corrupt", "chi-points", "--seed", "7", "--json",
+    )
+    assert code == 0
+    assert text == (GOLDEN / "simulate_4x4x3.json").read_text(encoding="utf-8")
+    assert calls == {"_mobius_solve": 1, "chi_minimal_model": 1}
 
 
 def test_moebius_route_never_touches_chain_count(monkeypatch):

@@ -13,6 +13,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cliharness import DATA, GOLDEN, GOLDEN_COMMANDS, run_cli
+from eulerscan import NoiseSpec, corrupt, random_network
+from eulerscan.cli import _build_parser
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -113,6 +115,27 @@ def test_reduce_desc_tie_break_runs():
     assert sorted(removed) == [8, 9]  # same chi-points whatever the order
 
 
+def test_one_parser_serves_every_call_unchanged(capsys):
+    # reduce's default tie-break must survive a desc run and a usage error
+    _, argv = GOLDEN_COMMANDS["reduce_trellis_chi.json"]
+    default = [a for a in argv if a not in ("--tie-break", "asc")]
+    code, text = run_cli(*default, "--tie-break", "desc")
+    assert code == 0 and json.loads(text)["options"]["tie_break"] == "desc"
+    assert run_cli(*default, "--tie-break", "sideways") == (1, "")
+    golden = (GOLDEN / "reduce_trellis_chi.json").read_text(encoding="utf-8")
+    assert run_cli(*default) == (0, golden)
+    assert "usage error" in capsys.readouterr().err
+    assert _build_parser() is _build_parser()
+    # importing the CLI builds no parser
+    probe = "import eulerscan.cli as c; print(c._build_parser.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "0\n"
+
+
 # ----------------------------------------------------------------------
 # exit codes
 # ----------------------------------------------------------------------
@@ -175,6 +198,24 @@ def test_exit_one_naming_function_and_id_on_value_outside_int64(
     assert out == ""
     err = capsys.readouterr().err
     assert err == "error: function 'h' has a value outside int64 at id 4\n"
+
+
+def test_exit_one_naming_element_on_corrupt_reading_outside_int64(capsys):
+    net = random_network([4, 4, 3], 0.5, 10, 7)
+    message = "reading 99999999999999999999 for element 0 lies outside int64"
+    with pytest.raises(OverflowError, match=message):
+        corrupt(net, NoiseSpec({0: 99999999999999999999}))
+    for edge in (-(2**63), 2**63 - 1):
+        assert corrupt(net, NoiseSpec({0: edge}))[0] == edge
+    for beyond in (-(2**63) - 1, 2**63):
+        with pytest.raises(OverflowError):
+            corrupt(net, NoiseSpec({0: beyond}))
+    code, out = run_cli(
+        "simulate", "--layers", "4x4x3", "--targets", "10",
+        "--corrupt", "0=99999999999999999999", "--seed", "7",
+    )
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_integrate_both_routes_agree_beyond_int64(tmp_path):

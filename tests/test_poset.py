@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import oracles
 import posetzoo
 from eulerscan import CycleDetected, Poset, SizeLimitExceeded, are_isomorphic
-from eulerscan.poset import _closure, _cover_matrix
+from eulerscan.poset import _closure, _cover_matrix, _mobius_row_sums
 from posetzoo import B2, B3, M1, M2, M3, M4, T1, T2, T3, TRELLIS_COVERS
 
 
@@ -199,6 +199,16 @@ def test_chi_empty_poset():
     p = posetzoo.antichain(0)
     assert p.euler_characteristic() == 0
     assert p.euler_characteristic_by_chains() == 0
+
+
+def test_row_sums_are_solved_once_and_shared_read_only(trellis):
+    r = trellis._row_sums()
+    assert trellis._row_sums() is r
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0] = 5
+    assert r.tolist() == _mobius_row_sums(trellis.leq).tolist()
+    assert trellis.euler_characteristic() == sum(r) == 1
 
 
 def test_exact_object_arithmetic_above_int64_threshold():

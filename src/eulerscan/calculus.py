@@ -98,24 +98,27 @@ class PosetFunction:
 
 @dataclass(frozen=True)
 class FilterLinearForm:
-    """A formal sum of filter indicators with integer coefficients."""
+    """A formal sum of filter indicators with integer coefficients, kept as
+    Python ints so that no sum of them wraps."""
 
     parent: Poset
     terms: tuple[tuple[int, ElementSet], ...]
 
     def __post_init__(self):
-        for coeff, q in self.terms:
+        terms = tuple((operator.index(coeff), q) for coeff, q in self.terms)
+        for _, q in terms:
             if q.parent is not self.parent:
                 raise ValueError("filter term belongs to a different poset")
             if not self.parent.is_filter(q):
                 raise ValueError(f"term {sorted(q.members)} is not a filter")
+        object.__setattr__(self, "terms", terms)
 
     def evaluate(self) -> PosetFunction:
         """The pointwise function the form sums to, accumulated in Python
         ints (a coefficient may leave int64 even when the sum does not)."""
         vals = np.zeros(self.parent.n, dtype=object)
         for coeff, q in self.terms:
-            vals[q.mask()] += operator.index(coeff)
+            vals[q.mask()] += coeff
         return PosetFunction(self.parent, vals)
 
     def integral(self) -> int:
@@ -202,9 +205,7 @@ def mobius_coefficients(h: PosetFunction) -> FilterLinearForm:
     """
     p = h.parent
     coeffs = _coefficients(h)
-    terms = tuple(
-        (int(coeffs[x]), p.up_set(x)) for x in range(p.n) if coeffs[x] != 0
-    )
+    terms = tuple((coeffs[x], p.up_set(x)) for x in range(p.n) if coeffs[x] != 0)
     return FilterLinearForm(p, terms)
 
 

@@ -248,9 +248,12 @@ def _parse_corrupt_list(text: str) -> dict[int, int]:
             )
         key, value = item.split("=", 1)
         try:
-            table[int(key)] = int(value)
+            element, reading = int(key), int(value)
         except ValueError:
             raise _UsageError(f"bad --corrupt entry {item!r}") from None
+        if element in table:
+            raise _UsageError(f"bad --corrupt value {text!r}: element {element} is given twice")
+        table[element] = reading
     return table
 
 

@@ -12,6 +12,7 @@ output files byte-stable.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from collections import Counter
 from typing import Iterable, Mapping
@@ -283,11 +284,11 @@ class PosetDocument:
         targets: Iterable[tuple[str, object, int]] | None = None,
     ) -> "PosetDocument":
         return cls(
-            ids=tuple(sorted(int(i) for i in ids)),
+            ids=tuple(sorted(operator.index(i) for i in ids)),
             labels=dict(labels or {}),
-            covers=tuple(sorted((int(a), int(b)) for a, b in covers)),
+            covers=tuple(sorted((operator.index(a), operator.index(b)) for a, b in covers)),
             functions={
-                name: {int(k): int(v) for k, v in table.items()}
+                name: {operator.index(k): operator.index(v) for k, v in table.items()}
                 for name, table in sorted((functions or {}).items())
             },
             targets=tuple(targets) if targets is not None else None,

@@ -12,7 +12,9 @@ theorems exercised here.
 The reducibility ladder is
 down-beat  =>  weak down-beat (strict up-set contractible)  =>  chi-point
 (strict up-set has Euler characteristic 1).  Removing beat points until
-none remain yields the core, which is unique up to isomorphism.
+none remain yields the core, which is unique up to isomorphism; the
+strip keeps one cover matrix current, since removing x keeps every other
+cover and can only add pairs of a lower and an upper cover of x.
 Removing chi-points until none remain yields the chi-minimal model, and
 that is simply P minus its chi-points, whatever the order.  With R(x)
 the Moebius row sum of x (one zeta solve; the strict up-set of x has
@@ -82,12 +84,6 @@ def _priority(n: int, tie_break: Sequence[int] | None) -> np.ndarray:
     return np.argsort(order)  # the inverse permutation
 
 
-def _beat_flags(leq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Down-beat (one upper cover) and up-beat (one lower cover) masks."""
-    cov = _cover_matrix(leq)
-    return cov.sum(axis=1) == 1, cov.sum(axis=0) == 1
-
-
 def _strip_beat_points(
     leq: np.ndarray, rank: np.ndarray
 ) -> tuple[list[int], list[tuple[int, str]]]:
@@ -95,19 +91,27 @@ def _strip_beat_points(
 
     The beat point of least rank goes first, recorded as down-beat in
     preference to up-beat.  Returns the surviving indices and the
-    (index, reason) removal sequence.
+    (index, reason) removal sequence.  Removing x adds as covers exactly
+    the pairs (w, c) of a lower and an upper cover of x with no survivor
+    strictly between them (a float32 count, exact below 2**24).
     """
-    ids = np.arange(leq.shape[0])
+    cov = _cover_matrix(leq)
+    lt = (leq & ~np.eye(leq.shape[0], dtype=bool)).astype(np.float32)
+    uppers, lowers = cov.sum(axis=1), cov.sum(axis=0)
+    alive = np.ones(leq.shape[0], dtype=bool)
     removal: list[tuple[int, str]] = []
     while True:
-        down, up = _beat_flags(leq)
-        beat = np.flatnonzero(down | up)
+        beat = np.flatnonzero(alive & ((uppers == 1) | (lowers == 1)))
         if beat.size == 0:
-            return ids.tolist(), removal
-        i = beat[np.argmin(rank[ids[beat]])]
-        removal.append((int(ids[i]), DOWN_BEAT if down[i] else UP_BEAT))
-        ids = np.delete(ids, i)
-        leq = np.delete(np.delete(leq, i, axis=0), i, axis=1)
+            return np.flatnonzero(alive).tolist(), removal
+        x = beat[np.argmin(rank[beat])]
+        removal.append((int(x), DOWN_BEAT if uppers[x] == 1 else UP_BEAT))
+        w, c = np.flatnonzero(cov[:, x]), np.flatnonzero(cov[x])
+        cov[x] = cov[:, x] = lt[:, x] = alive[x] = False  # x lies between nothing
+        new = lt[w] @ lt[:, c] == 0
+        cov[np.ix_(w, c)] = new
+        uppers[w] += new.sum(axis=1) - 1
+        lowers[c] += new.sum(axis=0) - 1
 
 
 def _contractible(leq: np.ndarray) -> bool:
@@ -130,7 +134,8 @@ def classify_points(p: Poset) -> PointClass:
     down-set as it stands, since contractibility does not depend on the
     direction of the order.
     """
-    down, up = _beat_flags(p.leq)
+    cov = _cover_matrix(p.leq)
+    down, up = cov.sum(axis=1) == 1, cov.sum(axis=0) == 1
     is_chi_point = p._row_sums() == 0
     is_dual_chi_point = _mobius_solve(p.leq, np.ones((1, p.n), dtype=object))[0] == 0
     lt = p.leq & ~np.eye(p.n, dtype=bool)

@@ -4,9 +4,9 @@ Everything here favours obvious correctness over speed and stays away
 from the library's own derivations wherever a check needs independence:
 order closure by digraph search, Euler characteristics by explicit chain
 enumeration, filters by scanning every subset, contractibility by
-exhaustive beat-point removal in all orders, transports by Moebius
-recursion on each preimage, chi-minimal models by removing one
-chi-point at a time.
+exhaustive beat-point removal in all orders, cores by re-deriving the
+covers after every removal, transports by Moebius recursion on each
+preimage, chi-minimal models by removing one chi-point at a time.
 """
 
 import itertools
@@ -141,6 +141,30 @@ def contractible_exhaustive(members, leq_pairs):
         return any(go(frozen - {x}) for x in down | up)
 
     return go(frozenset(members))
+
+
+def strip_beat_points_by_recompute(leq, order):
+    """Remove beat points one at a time, deriving the covers of the
+    surviving subposet afresh (a float64 product) after every removal.
+
+    The beat point least in ``order`` goes first, recorded as down-beat
+    (one upper cover) in preference to up-beat (one lower cover).
+    Returns (removal_sequence, survivors).
+    """
+    rank = {x: i for i, x in enumerate(order)}
+    members = list(range(leq.shape[0]))
+    removal = []
+    while True:
+        k = len(members)
+        lt = (leq[np.ix_(members, members)] & ~np.eye(k, dtype=bool)).astype(float)
+        cov = (lt > 0) & (lt @ lt == 0)
+        down, up = cov.sum(axis=1) == 1, cov.sum(axis=0) == 1
+        beat = [i for i in range(k) if down[i] or up[i]]
+        if not beat:
+            return tuple(removal), tuple(members)
+        i = min(beat, key=lambda j: rank[members[j]])
+        removal.append((members[i], "down_beat" if down[i] else "up_beat"))
+        del members[i]
 
 
 def _induced_mobius(members, leq_pairs):

@@ -360,3 +360,11 @@ def test_15_classify_points_at_n1000():
             len(flags.chi_point),
         ]
         assert counts == [170, 185, 196, 216, 203]
+
+
+def test_16_core_at_n2000():
+    with criterion(16, "core of a 2000-chain and of a 2000-element network", 10.0):
+        assert len(core(posetzoo.chain(2000)).removal_sequence) == 1999
+        p = random_network([250] * 8, 0.02, 0, 1).poset
+        assert p.n == 2000
+        assert len(core(p).removal_sequence) == 121

@@ -17,6 +17,7 @@ from eulerscan import (
     NotMonotone,
     NotOrderPreserving,
     Poset,
+    PosetDocument,
     PosetFunction,
     PosetMap,
     TargetPosition,
@@ -104,6 +105,13 @@ def test_coefficients_are_exact_beyond_int64():
     assert form.integral() == integrate(h)
 
 
+def test_form_coefficients_are_python_ints():
+    p = posetzoo.antichain(1)
+    form = FilterLinearForm(p, ((np.int64(2**62), p.up_set(0)),) * 3)
+    assert [type(c) for c, _ in form.terms] == [int] * 3
+    assert form.integral() == form.coefficient_sum() == 3 * 2**62
+
+
 def test_evaluate_raises_when_the_sum_leaves_int64():
     p = posetzoo.antichain(1)
     form = FilterLinearForm(p, ((2**62, p.up_set(0)), (2**62, p.up_set(0))))
@@ -145,6 +153,20 @@ INTEGER_SITES = {
     "form_coefficient": lambda v: FilterLinearForm(
         CHAIN3, ((v, CHAIN3.up_set(1)),)
     ).evaluate(),
+    "form_integral": lambda v: FilterLinearForm(
+        CHAIN3, ((v, CHAIN3.up_set(1)),)
+    ).integral(),
+    "form_coefficient_sum": lambda v: FilterLinearForm(
+        CHAIN3, ((v, CHAIN3.up_set(1)),)
+    ).coefficient_sum(),
+    "document_id": lambda v: PosetDocument.from_parts(ids=[0, v]),
+    "document_cover": lambda v: PosetDocument.from_parts(ids=[0, 1], covers=[(0, v)]),
+    "document_function_key": lambda v: PosetDocument.from_parts(
+        ids=[0, 1], functions={"h": {0: 0, v: 1}}
+    ),
+    "document_function_value": lambda v: PosetDocument.from_parts(
+        ids=[0, 1], functions={"h": {0: 0, 1: v}}
+    ),
     "target_node": lambda v: TargetPosition.at_node(v),
     "target_edge": lambda v: TargetPosition.on_edge(0, v),
     "noise_ids": lambda v: NoiseSpec.random([v], seed=1),

@@ -274,6 +274,16 @@ def test_exit_one_on_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_exit_one_on_repeated_corrupt_id(capsys):
+    code, out = run_cli(
+        "simulate", "--layers", "2x2", "--seed", "1", "--corrupt", "0=1,0=2"
+    )
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        "usage error: bad --corrupt value '0=1,0=2': element 0 is given twice\n"
+    )
+
+
 def test_exit_two_on_simulation_mismatch():
     code, text = run_cli(
         "simulate", "--layers", "4x4x3", "--targets", "10",

@@ -12,6 +12,7 @@ from eulerscan import (
     core,
     is_contractible,
     random_network,
+    reduction,
 )
 from posetzoo import B2, B3
 
@@ -212,6 +213,40 @@ def test_core_uniqueness_and_chi_preservation():
         for a in reports:
             for b in reports:
                 assert are_isomorphic(a.result, b.result)
+
+
+@pytest.mark.parametrize("density", [0.02, 0.05, 0.1])
+def test_core_matches_recompute_oracle_at_scale(density):
+    # the cover matrix kept current strips exactly as re-deriving it does
+    for widths in ([25] * 8, [50] * 6, [50] * 8):  # n = 200, 300, 400
+        p = random_network(widths, density, 0, 1).poset
+        for order in (list(range(p.n)), list(reversed(range(p.n)))):
+            report = core(p, order)
+            expect = oracles.strip_beat_points_by_recompute(p.leq, order)
+            assert (report.removal_sequence, report.mapping) == expect
+        assert is_contractible(p) == (len(expect[1]) == 1)
+
+
+def test_chain_core_matches_recompute_oracle():
+    p = posetzoo.chain(300)
+    report = core(p)
+    expect = oracles.strip_beat_points_by_recompute(p.leq, range(p.n))
+    assert (report.removal_sequence, report.mapping) == expect
+    assert is_contractible(p)
+
+
+def test_one_cover_matrix_per_strip(monkeypatch):
+    p = posetzoo.chain(50)
+    sizes = []
+    derive = reduction._cover_matrix
+
+    def counted(leq):
+        sizes.append(leq.shape[0])
+        return derive(leq)
+
+    monkeypatch.setattr(reduction, "_cover_matrix", counted)
+    assert is_contractible(p)
+    assert sizes == [50]
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ from Moebius inversion over prime filters, which works for arbitrary
 integer functions (corrupted sensor readings included); the integral is
 h . R, with R the Moebius row sums.  Monotone non-negative functions
 also admit the excursion-set decomposition, kept as an independent,
-mu-free cross-check route: one weighted chain count.
+mu-free cross-check route: one weighted chain count, exact, whose steps
+run in int64 while the chain weights in play sum below 2**63 in absolute
+value and on Python ints past that.
 
 Functions take int64 values.  Out-of-range inputs, and arithmetic or
 transports whose results leave int64, raise ``OverflowError`` instead

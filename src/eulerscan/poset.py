@@ -15,10 +15,13 @@ sums R once and keeps them, frozen, in its one cache slot; every reader
 of R (chi, integrals, chi-points, point classes, chi-distinguished maps)
 shares that vector.  Only :meth:`Poset.mobius` builds the full table.
 
-All counting arithmetic is exact: the solves, the zeta and Moebius
-matrices and the chain counts are Python-int object arrays at every
-size.  Only the boolean products of the order closure and the cover
-matrix run in float32, where every entry is a count below 2**24.
+All counting arithmetic is exact.  The solves and the zeta and Moebius
+matrices are Python-int object arrays at every size.  The chain counts
+keep their vector in Python ints and take a step in int64 only when the
+sum of its absolute values is below 2**63, a bound no entry or partial
+sum of the step can pass; other steps run on Python ints.  The boolean
+products of the order closure and the cover matrix run in float32,
+where every entry is a count below 2**24.
 """
 
 from __future__ import annotations
@@ -87,17 +90,29 @@ def _chi_by_chains(leq: np.ndarray, weights) -> int:
     With unit weights it is the Euler characteristic (P. Hall's theorem),
     with no Moebius function involved.
 
-    Entry y of the row vector ``r`` sums the weights of the chains of the
-    current length whose top is y; ``r @ lt`` extends each by a step up.
+    Entry y of the vector ``r`` sums the weights of the chains of the
+    current length whose top is y; ``below @ r``, with row y of ``below``
+    marking the elements strictly below y, extends each by a step up.
+    ``r`` stays Python ints between steps, so the level sums are exact.
+    A step runs in int64 when sum(|r|) < 2**63: every entry of the
+    product, and every partial sum formed on the way, is the sum of a
+    subset of r's entries, so none can wrap.  Otherwise the step runs on
+    Python ints.
     """
     n = leq.shape[0]
-    lt = (leq & ~np.eye(n, dtype=bool)).astype(np.int64).astype(object)
-    r = np.array(weights, dtype=object)
+    below = (leq & ~np.eye(n, dtype=bool)).T.astype(np.int64, order="C")
+    below_exact = None  # the Python-int copy, built when a step needs it
+    r = [operator.index(w) for w in weights]
     chi, sign = 0, 1
-    while r.any():
-        chi += sign * int(r.sum())
+    while any(r):
+        chi += sign * sum(r)
         sign = -sign
-        r = r @ lt
+        if sum(map(abs, r)) < 2**63:
+            r = (below @ np.array(r, dtype=np.int64)).tolist()
+        else:
+            if below_exact is None:
+                below_exact = below.astype(object)
+            r = (below_exact @ np.array(r, dtype=object)).tolist()
     return chi
 
 
@@ -267,6 +282,7 @@ class Poset:
     # ------------------------------------------------------------------
 
     def label(self, x: int) -> str:
+        x = self._element(x)
         return self.labels[x] if self.labels is not None else str(x)
 
     def subset(self, members: Iterable[int]) -> ElementSet:
@@ -275,16 +291,20 @@ class Poset:
     def all_elements(self) -> ElementSet:
         return ElementSet(self, frozenset(range(self.n)))
 
+    def _element(self, x: int) -> int:
+        """One element id, as a checked Python int."""
+        x = operator.index(x)
+        if not 0 <= x < self.n:
+            raise ValueError(f"element id {x} out of range")
+        return x
+
     def _member_list(self, s: "ElementSet | Iterable[int]") -> list[int]:
+        """The distinct ids of s, checked and ascending."""
         if isinstance(s, ElementSet):
             if s.parent is not self:
                 raise ValueError("element set belongs to a different poset")
             return sorted(s.members)
-        out = sorted(operator.index(x) for x in s)
-        for x in out:
-            if not 0 <= x < self.n:
-                raise ValueError(f"element id {x} out of range")
-        return out
+        return sorted({self._element(x) for x in s})
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={len(self.covers)})"
@@ -294,10 +314,11 @@ class Poset:
     # ------------------------------------------------------------------
 
     def less_equal(self, x: int, y: int) -> bool:
-        return bool(self.leq[x, y])
+        return bool(self.leq[self._element(x), self._element(y)])
 
     def up_set(self, x: int, strict: bool = False) -> ElementSet:
         """Everything above x: the prime filter, or the strict up-set."""
+        x = self._element(x)
         members = set(np.flatnonzero(self.leq[x]).tolist())
         if strict:
             members.discard(x)
@@ -305,6 +326,7 @@ class Poset:
 
     def down_set(self, x: int, strict: bool = False) -> ElementSet:
         """Everything below x: the prime ideal, or the strict down-set."""
+        x = self._element(x)
         members = set(np.flatnonzero(self.leq[:, x]).tolist())
         if strict:
             members.discard(x)
@@ -371,9 +393,9 @@ class Poset:
     def euler_characteristic_by_chains(self) -> int:
         """chi via the chain route: alternating count of strict chains.
 
-        Counts the chains of each length by extending a row vector one
-        step up the strict order at a time, on Python ints.  Independent
-        of the Moebius recursion; the two must always agree.
+        Counts the chains of each length by extending a vector one step
+        up the strict order at a time, exactly (see ``_chi_by_chains``).
+        Independent of the Moebius recursion; the two must always agree.
         """
         return _chi_by_chains(self.leq, [1] * self.n)
 

@@ -368,3 +368,11 @@ def test_16_core_at_n2000():
         p = random_network([250] * 8, 0.02, 0, 1).poset
         assert p.n == 2000
         assert len(core(p).removal_sequence) == 121
+
+
+def test_17_int64_chain_steps_at_n2000():
+    net = random_network([250] * 8, 0.1, 200, 1)
+    assert net.poset.n == 2000
+    with criterion(17, "chain route and excursion at n=2000, chain counts only", 1.2):
+        assert net.poset.euler_characteristic_by_chains() == 50068958991
+        assert integrate_excursion(net.counting) == 200

@@ -146,6 +146,10 @@ INTEGER_SITES = {
     "from_covers": lambda v: Poset.from_covers(3, [(v, 2)]),
     "subset": lambda v: CHAIN3.subset([v]),
     "member_list": lambda v: CHAIN3.chi_of([0, v]),
+    "less_equal": lambda v: CHAIN3.less_equal(v, 2),
+    "up_set": lambda v: CHAIN3.up_set(v),
+    "down_set": lambda v: CHAIN3.down_set(v, strict=True),
+    "label": lambda v: CHAIN3.label(v),
     "function_values": lambda v: PosetFunction(CHAIN3, [0, v, 2]),
     "with_value": lambda v: PosetFunction(CHAIN3, [0, 1, 2]).with_value(1, v),
     "scalar": lambda v: PosetFunction(CHAIN3, [0, 1, 2]).__rmul__(v),
@@ -469,6 +473,31 @@ def test_zeta_solve_and_weighted_chain_count_match_oracles(seed, data):
     # the Fubini identity behind the excursion route holds for any h
     dot = sum(v * r for v, r in zip(h, row_sums))
     assert _chi_by_chains(p.leq, h) == dot == integrate(PosetFunction(p, h))
+
+
+V_SHAPE = Poset.from_covers(3, [(0, 2), (1, 2)])  # two minima under one maximum
+
+
+@pytest.mark.parametrize(
+    "p, weights",
+    [
+        # max |r| fits int64, but the step's entry at the top is 2**63
+        (V_SHAPE, [2**62, 2**62, 0]),
+        # sum |r| = 2**63 - 1: an int64 step whose top entry is 2**63 - 1
+        (CHAIN3, [2**62, 2**62 - 1, 0]),
+        # sum |r| = 2**63: the step's top entry needs Python ints
+        (CHAIN3, [2**62, 2**62, 0]),
+        (CHAIN3, [-(2**62), -(2**62) - 1, 7]),
+    ],
+    ids=["v-shape", "chain-below-bound", "chain-at-bound", "chain-negative"],
+)
+def test_chain_count_exact_at_the_int64_step_bound(p, weights):
+    n = p.n
+    mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
+    row_sums = [sum(mu[(x, y)] for y in range(n)) for x in range(n)]
+    assert _chi_by_chains(p.leq, weights) == sum(
+        w * r for w, r in zip(weights, row_sums)
+    )
 
 
 def test_excursion_agrees_with_mobius_and_naive_levels():

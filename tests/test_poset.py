@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -79,6 +83,24 @@ def test_bad_ids_rejected():
         Poset.from_covers(2, [(0, 5)])
 
 
+def test_order_primitives_reject_ids_out_of_range():
+    p = posetzoo.chain(3)
+    for call in (
+        lambda: p.up_set(-1),
+        lambda: p.down_set(-1, strict=True),
+        lambda: p.less_equal(-1, 2),
+        lambda: p.less_equal(0, -1),
+        lambda: p.label(-1),
+    ):
+        with pytest.raises(ValueError, match="element id -1 out of range"):
+            call()
+    with pytest.raises(ValueError, match="element id 3 out of range"):
+        p.up_set(3)
+    with pytest.raises(ValueError, match="element id 3 out of range"):
+        p.label(3)
+    assert p.less_equal(np.int64(0), 2) and p.label(np.int64(2)) == "2"
+
+
 # ----------------------------------------------------------------------
 # up/down sets and filters
 # ----------------------------------------------------------------------
@@ -142,6 +164,31 @@ def test_induced_skips_middle_of_chain():
     sub, mapping = posetzoo.chain(3).induced_subposet([0, 2])
     assert mapping == (0, 2)
     assert sub.covers == frozenset({(0, 1)})
+
+
+def test_induced_subposet_ignores_repeated_ids():
+    sub, mapping = posetzoo.chain(3).induced_subposet([0, 0, 1])
+    assert mapping == (0, 1)
+    assert sub.order_identical(posetzoo.chain(2))
+
+
+def test_chi_of_ignores_repeated_ids():
+    # a repeated id kept twice would put two copies of one element
+    # strictly below each other, and the chain count would never reach
+    # zero; a fresh interpreter with a timeout keeps such a loop out of
+    # the suite
+    probe = (
+        "import posetzoo; p = posetzoo.chain(3); "
+        "print(p.chi_of([0, 0]), p.chi_of([2, 0, 2]), p.is_filter([2, 2]))"
+    )
+    tests = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out == "1 1 True\n"
 
 
 def test_induced_full_is_order_identical(trellis):

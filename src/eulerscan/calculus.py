@@ -6,11 +6,14 @@ the matching combination of filter characteristics, and is independent
 of the chosen combination.  The canonical combination used here comes
 from Moebius inversion over prime filters, which works for arbitrary
 integer functions (corrupted sensor readings included); the integral is
-h . R, with R the Moebius row sums.  Monotone non-negative functions
-also admit the excursion-set decomposition, kept as an independent,
-mu-free cross-check route: one weighted chain count, exact, whose steps
-run in int64 while the chain weights in play sum below 2**63 in absolute
-value and on Python ints past that.
+h . R, with R the Moebius row sums.  R and the Moebius coefficients
+h @ mu come from the poset's level solve, certified float64 or Python
+ints (see ``eulerscan.poset``), and the transports sum them over 0/1
+masks with the same exact product as the chain count.  Monotone
+non-negative functions also admit the excursion-set decomposition, kept
+as an independent, mu-free cross-check route: one weighted chain count,
+exact, whose steps run in int64 while the chain weights in play sum
+below 2**63 in absolute value and on Python ints past that.
 
 Functions take int64 values.  Out-of-range inputs, and arithmetic or
 transports whose results leave int64, raise ``OverflowError`` instead
@@ -26,7 +29,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import NegativeValues, NotMonotone, NotOrderPreserving
-from .poset import ElementSet, Poset, _chi_by_chains, _mobius_solve
+from .poset import (
+    ElementSet,
+    Poset,
+    _chi_by_chains,
+    _mobius_solve,
+    _zero_one_product,
+)
 
 
 class PosetFunction:
@@ -45,12 +54,12 @@ class PosetFunction:
 
     @classmethod
     def from_dict(cls, parent: Poset, mapping: Mapping[int, int]) -> "PosetFunction":
-        if sorted(mapping) != list(range(parent.n)):
+        if sorted(map(operator.index, mapping)) != list(range(parent.n)):
             raise ValueError("function must be defined on every element")
         return cls(parent, [mapping[x] for x in range(parent.n)])
 
     def __getitem__(self, x: int) -> int:
-        return int(self.values[x])
+        return int(self.values[self.parent._element(x)])
 
     def __len__(self) -> int:
         return self.parent.n
@@ -84,12 +93,13 @@ class PosetFunction:
 
     def with_value(self, x: int, value: int) -> "PosetFunction":
         vals = self.values.copy()
-        vals[x] = operator.index(value)
+        vals[self.parent._element(x)] = operator.index(value)
         return PosetFunction(self.parent, vals)
 
     def is_monotone(self) -> bool:
-        # covers generate the order, so checking them suffices
-        return all(self.values[a] <= self.values[b] for a, b in self.parent.covers)
+        """True iff there is no x <= y with h(x) > h(y)."""
+        v = self.values
+        return not (self.parent.leq & (v[:, None] > v[None, :])).any()
 
     def is_nonnegative(self) -> bool:
         return bool((self.values >= 0).all()) if len(self.values) else True
@@ -164,7 +174,7 @@ class PosetMap:
         return cls(sub, parent, mapping)
 
     def __call__(self, x: int) -> int:
-        return int(self.image[x])
+        return int(self.image[self.domain._element(x)])
 
     def compose(self, inner: "PosetMap") -> "PosetMap":
         """self after inner."""
@@ -174,10 +184,8 @@ class PosetMap:
 
     def is_order_preserving(self) -> bool:
         if self._order_preserving is None:
-            self._order_preserving = all(
-                self.codomain.leq[self.image[a], self.image[b]]
-                for a, b in self.domain.covers
-            )
+            image_leq = self.codomain.leq[np.ix_(self.image, self.image)]
+            self._order_preserving = bool((self.domain.leq <= image_leq).all())
         return self._order_preserving
 
     def _require_order_preserving(self):
@@ -194,15 +202,15 @@ def indicator(p: Poset, s: "ElementSet | Iterable[int]") -> PosetFunction:
 
 
 def _coefficients(h: PosetFunction) -> np.ndarray:
-    """``h @ mu`` on Python ints: the Moebius coefficient of every element."""
+    """``h @ mu`` as Python ints: the Moebius coefficient of every element."""
     return _mobius_solve(h.parent.leq, h.values[None, :])[0]
 
 
 def mobius_coefficients(h: PosetFunction) -> FilterLinearForm:
     """The canonical prime-filter form of h, via Moebius inversion.
 
-    The coefficient at x is sum(mu(y, x) * h(y) for y <= x), taken in
-    Python ints; evaluating the resulting form reproduces h exactly, and
+    The coefficient at x is sum(mu(y, x) * h(y) for y <= x), exact, as
+    a Python int; evaluating the resulting form reproduces h exactly, and
     zero terms are dropped.
     """
     p = h.parent
@@ -253,8 +261,8 @@ def pushforward(f: PosetMap, h: PosetFunction) -> PosetFunction:
     # domain.  mu of S is the restriction of mu, and every a <= b in S lies
     # in S, so the integral of h over S is the sum of h's Moebius
     # coefficients (h @ mu)[b] over b in S.
-    inside = f.codomain.leq.T[:, f.image].astype(object)
-    return PosetFunction(f.codomain, (inside @ _coefficients(h)).tolist())
+    inside = f.codomain.leq.T[:, f.image]
+    return PosetFunction(f.codomain, _zero_one_product(inside, _coefficients(h)))
 
 
 def pullback(f: PosetMap, h: PosetFunction) -> PosetFunction:
@@ -274,8 +282,8 @@ def is_chi_distinguished(f: PosetMap) -> bool:
     # domain.  mu of F is the restriction of mu, and every b >= a in F lies
     # in F, so chi(F) is the sum of the Moebius row sums over F (0 when F
     # is empty).
-    inside = f.codomain.leq[:, f.image].astype(object)
-    return bool(((inside @ f.domain._row_sums()) == 1).all())
+    inside = f.codomain.leq[:, f.image]
+    return all(chi == 1 for chi in _zero_one_product(inside, f.domain._row_sums()))
 
 
 def is_ascending_closure_operator(r: PosetMap) -> bool:
@@ -284,5 +292,5 @@ def is_ascending_closure_operator(r: PosetMap) -> bool:
         raise ValueError("closure operators must be endo-maps")
     r._require_order_preserving()
     idempotent = bool(np.array_equal(r.image[r.image], r.image))
-    inflationary = all(r.domain.leq[x, r.image[x]] for x in range(r.domain.n))
+    inflationary = bool(r.domain.leq[np.arange(r.domain.n), r.image].all())
     return idempotent and inflationary

@@ -15,13 +15,19 @@ sums R once and keeps them, frozen, in its one cache slot; every reader
 of R (chi, integrals, chi-points, point classes, chi-distinguished maps)
 shares that vector.  Only :meth:`Poset.mobius` builds the full table.
 
-All counting arithmetic is exact.  The solves and the zeta and Moebius
-matrices are Python-int object arrays at every size.  The chain counts
-keep their vector in Python ints and take a step in int64 only when the
-sum of its absolute values is below 2**63, a bound no entry or partial
-sum of the step can pass; other steps run on Python ints.  The boolean
-products of the order closure and the cover matrix run in float32,
-where every entry is a count below 2**24.
+All counting arithmetic is exact.  A solve runs one antichain level at
+a time in float64 BLAS, and its answer is kept only when one exact check
+of the result certifies it: |v| < 2**53, sum(|c|) < 2**53 along each row
+of the answer c, and ``c + c @ lt == v`` in float64, which under those
+bounds is the integer identity ``c @ zeta == v``.  Otherwise the same
+recursion runs on Python ints, the only path for answers past 2**53.
+The solves and the zeta and Moebius matrices hand out Python-int object
+arrays at every size.  A 0/1 matrix times an integer vector (a chain
+count step, a transport) is one exact ``_zero_one_product``: in int64
+when the vector's absolute values sum below 2**63, a bound no entry or
+partial sum of the product can pass, and on Python ints otherwise.  The
+boolean products of the order closure and the cover matrix run in
+float32, where every entry is a count below 2**24.
 """
 
 from __future__ import annotations
@@ -60,22 +66,88 @@ def _closure(adj: np.ndarray) -> np.ndarray:
         reach = nxt
 
 
+_FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
+_CHECK_COLUMNS = 64  # columns per product of the residual check
+
+
+def _levels(lt: np.ndarray) -> list[np.ndarray]:
+    """The elements of the strict order ``lt`` in antichain levels, by a
+    Kahn pass: each level holds the unsolved elements with no unsolved
+    element strictly below them.  A pass that runs out of such elements
+    has met a directed cycle and raises :class:`CycleDetected`."""
+    pending = lt.sum(axis=0)  # unsolved strict lower elements of each y
+    levels, left = [], lt.shape[0]
+    while left:
+        level = np.flatnonzero(pending == 0)
+        if not level.size:
+            raise CycleDetected("order relation contains a directed cycle")
+        levels.append(level)
+        left -= level.size
+        pending[level] = -1
+        pending -= lt[level].sum(axis=0)
+    return levels
+
+
 def _mobius_solve(leq: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``v @ mu`` for each row of ``v``, with mu the Moebius matrix of
-    ``leq``, on Python ints.
+    ``leq``, as Python ints.
 
-    Solves ``c @ zeta = v`` one column at a time in topological order:
-    c[:, y] = v[:, y] - sum(c[:, z] for z < y).  On the identity this is
-    the recursion mu(x, y) = -sum(mu(x, z) for x <= z < y) that defines
-    the table.
+    Solves ``c @ zeta = v``: c[:, y] = v[:, y] - sum(c[:, z] for z < y),
+    one antichain level at a time (see ``_levels``).  On the identity
+    this is the recursion mu(x, y) = -sum(mu(x, z) for x <= z < y) that
+    defines the table.  The levels are solved in float64 BLAS and the
+    answer kept only when certified exact (``_solve_in_float``); else the
+    same recursion runs again on Python ints.
     """
-    c = np.array(v, dtype=object)
     lt = leq & ~np.eye(leq.shape[0], dtype=bool)
-    # |down-set| strictly increases along <, so sorting by it is topological.
-    for y in np.argsort(leq.sum(axis=0), kind="stable"):
-        below = lt[:, y]
-        if below.any():
-            c[:, y] -= c[:, below].sum(axis=1)
+    levels = _levels(lt)
+    c = _solve_in_float(lt, levels, v)
+    return c if c is not None else _solve_exact(lt, levels, v)
+
+
+def _solve_in_float(lt, levels, v) -> np.ndarray | None:
+    """The level solve in float64, or None when its result is not
+    certified exact.
+
+    The certificate checks the result, not the arithmetic that found
+    it: |v| < 2**53, sum(|c|) < 2**53 along every row of c, and
+    ``c + c @ lt == v`` in float64.  Under the bound each entry of
+    ``c @ lt``, and each partial sum formed on the way in any order, is
+    the sum of some entries of one row of c, an integer below 2**53,
+    so the float equality is the exact one, ``c @ zeta == v``; zeta is
+    unitriangular, so c is ``v @ mu``.
+    """
+    v = np.asarray(v)
+    # bounded from both sides, since np.abs of int64's minimum is negative;
+    # this also keeps Python ints past float64's range out of astype
+    if not ((v > -_FLOAT_EXACT) & (v < _FLOAT_EXACT)).all():
+        return None
+    c = v.astype(np.float64)
+    for level in levels:
+        c[:, level] -= c @ lt[:, level].astype(np.float64)
+    # a few columns at a time, to keep the temporaries small
+    total = np.zeros(c.shape[0])
+    for j in range(0, c.shape[1], _CHECK_COLUMNS):
+        cols = slice(j, j + _CHECK_COLUMNS)
+        block = c[:, cols]
+        total += np.abs(block).sum(axis=1)
+        if not np.array_equal(block + c @ lt[:, cols].astype(np.float64), v[:, cols]):
+            return None
+    if not (total < _FLOAT_EXACT).all():  # also false on inf and nan
+        return None
+    exact = c.astype(np.int64)
+    del c  # one float copy fewer alive beside the object array
+    return exact.astype(object)
+
+
+def _solve_exact(lt, levels, v) -> np.ndarray:
+    """The column recursion of ``_mobius_solve`` on Python ints."""
+    c = np.array(v, dtype=object)
+    for level in levels:
+        for y in level:
+            below = lt[:, y]
+            if below.any():
+                c[:, y] -= c[:, below].sum(axis=1)
     return c
 
 
@@ -83,6 +155,20 @@ def _mobius_row_sums(leq: np.ndarray) -> np.ndarray:
     """R(x) = sum(mu(x, y) for y): one solve on the opposite order, whose
     Moebius matrix is mu transposed.  chi({y : y > x}) = 1 - R(x)."""
     return _mobius_solve(leq.T, np.ones((1, leq.shape[0]), dtype=object))[0]
+
+
+def _zero_one_product(a: np.ndarray, x) -> list[int]:
+    """``a @ x`` for a 0/1 matrix ``a`` and a vector ``x`` of Python ints,
+    exact, as a list of Python ints.
+
+    Runs in int64 when sum(|x|) < 2**63: every entry of the product, and
+    every partial sum formed on the way, is the sum of a subset of x's
+    entries, so none can wrap.  Otherwise runs on Python ints.
+    """
+    if sum(map(abs, x)) < 2**63:
+        a = a.astype(np.int64, copy=False)
+        return (a @ np.array(x, dtype=np.int64)).tolist()
+    return (a.astype(object) @ np.array(x, dtype=object)).tolist()
 
 
 def _chi_by_chains(leq: np.ndarray, weights) -> int:
@@ -93,26 +179,17 @@ def _chi_by_chains(leq: np.ndarray, weights) -> int:
     Entry y of the vector ``r`` sums the weights of the chains of the
     current length whose top is y; ``below @ r``, with row y of ``below``
     marking the elements strictly below y, extends each by a step up.
-    ``r`` stays Python ints between steps, so the level sums are exact.
-    A step runs in int64 when sum(|r|) < 2**63: every entry of the
-    product, and every partial sum formed on the way, is the sum of a
-    subset of r's entries, so none can wrap.  Otherwise the step runs on
-    Python ints.
+    ``r`` stays Python ints between steps, so the level sums are exact,
+    and each step is one exact ``_zero_one_product``.
     """
     n = leq.shape[0]
     below = (leq & ~np.eye(n, dtype=bool)).T.astype(np.int64, order="C")
-    below_exact = None  # the Python-int copy, built when a step needs it
     r = [operator.index(w) for w in weights]
     chi, sign = 0, 1
     while any(r):
         chi += sign * sum(r)
         sign = -sign
-        if sum(map(abs, r)) < 2**63:
-            r = (below @ np.array(r, dtype=np.int64)).tolist()
-        else:
-            if below_exact is None:
-                below_exact = below.astype(object)
-            r = (below_exact @ np.array(r, dtype=object)).tolist()
+        r = _zero_one_product(below, r)
     return chi
 
 
@@ -136,9 +213,12 @@ class ElementSet:
     members: frozenset[int]
 
     def __post_init__(self):
-        bad = [x for x in self.members if not 0 <= x < self.parent.n]
+        # TypeError for a member that is not an integer
+        members = frozenset(map(operator.index, self.members))
+        bad = [x for x in members if not 0 <= x < self.parent.n]
         if bad:
             raise ValueError(f"element ids out of range: {sorted(bad)}")
+        object.__setattr__(self, "members", members)
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -179,7 +259,7 @@ class MobiusTable:
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         x, y = pair
-        return int(self.mu[x, y])
+        return int(self.mu[self.parent._element(x), self.parent._element(y)])
 
     def chi(self) -> int:
         """Euler characteristic: the sum of every Moebius entry."""
@@ -376,7 +456,7 @@ class Poset:
 
     def mobius(self) -> MobiusTable:
         """The full Moebius table, built by one solve on each call."""
-        eye = np.eye(self.n, dtype=np.int64)
+        eye = np.eye(self.n, dtype=np.int8)  # the smallest exact identity
         return MobiusTable(self, _freeze(_mobius_solve(self.leq, eye)))
 
     def _row_sums(self) -> np.ndarray:

@@ -37,6 +37,7 @@ from eulerscan import (
     random_network,
     sensor_placement_plan,
 )
+from eulerscan.poset import _levels, _solve_exact
 from oracles import (
     all_filters,
     random_order_preserving_image,
@@ -45,6 +46,12 @@ from oracles import (
     reachability,
 )
 from posetzoo import B2, B3, T2, TRELLIS_H
+
+
+def _exact_table(p, rows):
+    """Rows of the Moebius table by the Python-int recursion alone."""
+    lt = p.leq & ~np.eye(p.n, dtype=bool)
+    return _solve_exact(lt, _levels(lt), rows)
 
 
 @contextmanager
@@ -376,3 +383,18 @@ def test_17_int64_chain_steps_at_n2000():
     with criterion(17, "chain route and excursion at n=2000, chain counts only", 1.2):
         assert net.poset.euler_characteristic_by_chains() == 50068958991
         assert integrate_excursion(net.counting) == 200
+
+
+def test_18_certified_moebius_table_at_n2000():
+    p = random_network([250] * 8, 0.1, 0, 1).poset
+    small = random_network([50] * 8, 0.1, 0, 1).poset
+    assert (p.n, small.n) == (2000, 400)
+    # references from the Python-int recursion, outside the timed block
+    rows = list(range(0, p.n, 97))
+    exact_rows = _exact_table(p, np.eye(p.n, dtype=np.int8)[rows])
+    exact_small = _exact_table(small, np.eye(small.n, dtype=np.int8))
+    with criterion(18, "certified Moebius table at n=2000", 2.5):
+        mu = p.mobius().mu
+        assert np.array_equal(mu[rows], exact_rows)
+        assert np.array_equal(small.mobius().mu, exact_small)
+        assert mu.sum() == 50068958991

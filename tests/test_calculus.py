@@ -37,7 +37,14 @@ from eulerscan import (
     random_network,
 )
 from cliharness import DATA, GOLDEN, run_cli
-from eulerscan.poset import _chi_by_chains, _mobius_row_sums, _mobius_solve
+from eulerscan.poset import (
+    ElementSet,
+    _chi_by_chains,
+    _levels,
+    _mobius_row_sums,
+    _mobius_solve,
+    _solve_in_float,
+)
 from posetzoo import B2, B3, M1, M2, M4, T1, T2, T3, TRELLIS_H
 
 
@@ -150,7 +157,9 @@ INTEGER_SITES = {
     "up_set": lambda v: CHAIN3.up_set(v),
     "down_set": lambda v: CHAIN3.down_set(v, strict=True),
     "label": lambda v: CHAIN3.label(v),
+    "element_set_member": lambda v: ElementSet(CHAIN3, frozenset({v})),
     "function_values": lambda v: PosetFunction(CHAIN3, [0, v, 2]),
+    "function_key": lambda v: PosetFunction.from_dict(CHAIN3, {0: 0, v: 1, 2: 2}),
     "with_value": lambda v: PosetFunction(CHAIN3, [0, 1, 2]).with_value(1, v),
     "scalar": lambda v: PosetFunction(CHAIN3, [0, 1, 2]).__rmul__(v),
     "map_image": lambda v: PosetMap(CHAIN3, CHAIN3, [0, v, 2]),
@@ -188,6 +197,43 @@ def test_integer_arguments_are_checked_not_truncated(site, value):
     INTEGER_SITES[site](1)  # the integer itself is accepted
     with pytest.raises(TypeError):
         INTEGER_SITES[site](value)
+
+
+# each site takes an element id v of CHAIN3
+NEGATIVE_ID_SITES = {
+    "from_covers": lambda v: Poset.from_covers(3, [(v, 2)]),
+    "element_set": lambda v: ElementSet(CHAIN3, frozenset({v})),
+    "subset": lambda v: CHAIN3.subset([v]),
+    "member_list": lambda v: CHAIN3.chi_of([0, v]),
+    "indicator": lambda v: indicator(CHAIN3, [v]),
+    "less_equal": lambda v: CHAIN3.less_equal(v, 2),
+    "up_set": lambda v: CHAIN3.up_set(v),
+    "down_set": lambda v: CHAIN3.down_set(v, strict=True),
+    "label": lambda v: CHAIN3.label(v),
+    "mobius_row": lambda v: CHAIN3.mobius()[v, 2],
+    "mobius_column": lambda v: CHAIN3.mobius()[0, v],
+    "function_getitem": lambda v: PosetFunction(CHAIN3, [5, 6, 7])[v],
+    "with_value": lambda v: PosetFunction(CHAIN3, [0, 1, 2]).with_value(v, 1),
+    "map_image": lambda v: PosetMap(CHAIN3, CHAIN3, [0, v, 2]),
+    "map_call": lambda v: PosetMap.identity(CHAIN3)(v),
+}
+
+
+@pytest.mark.parametrize("value", [-1, -3, 3])
+@pytest.mark.parametrize("site", sorted(NEGATIVE_ID_SITES))
+def test_element_ids_outside_the_poset_raise_instead_of_wrapping(site, value):
+    NEGATIVE_ID_SITES[site](1)  # a valid id is accepted
+    with pytest.raises(ValueError):
+        NEGATIVE_ID_SITES[site](value)
+
+
+def test_valid_ids_read_the_element_they_name():
+    assert PosetFunction(CHAIN3, [5, 6, 7])[2] == 7
+    assert PosetFunction(CHAIN3, [5, 6, 7]).with_value(2, 9).values.tolist() == [5, 6, 9]
+    assert PosetMap.constant(CHAIN3, CHAIN3, 1)(2) == 1
+    assert CHAIN3.mobius()[1, 2] == -1
+    assert ElementSet(CHAIN3, frozenset({np.int64(2)})).members == {2}
+    assert {type(x) for x in ElementSet(CHAIN3, frozenset({np.int64(2)})).members} == {int}
 
 
 INT64_EDGE = st.one_of(
@@ -473,6 +519,76 @@ def test_zeta_solve_and_weighted_chain_count_match_oracles(seed, data):
     # the Fubini identity behind the excursion route holds for any h
     dot = sum(v * r for v, r in zip(h, row_sums))
     assert _chi_by_chains(p.leq, h) == dot == integrate(PosetFunction(p, h))
+
+
+# the two sides of the float solve's bound, and the int64 extremes
+BELOW_2_53 = st.sampled_from([-(2**53) + 1, -(2**52), 2**52, 2**53 - 1])
+PAST_2_53 = st.sampled_from(
+    [-(2**63), -(2**53) - 1, -(2**53), 2**53, 2**53 + 1, 2**63 - 1]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    as_int64=st.booleans(),
+    past=st.booleans(),
+    data=st.data(),
+)
+def test_float_level_solve_is_kept_exactly_when_its_certificate_holds(
+    seed, as_int64, past, data
+):
+    rng = random.Random(seed)
+    p = oracles.random_poset(rng, max_n=7, shuffle=True)
+    n = p.n
+    mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
+    entry = st.one_of(st.integers(-3, 3), BELOW_2_53)
+    if past:
+        entry = st.one_of(entry, PAST_2_53)
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=3)
+    )
+    v = np.array(rows, dtype=np.int64 if as_int64 else object).reshape(len(rows), n)
+    expect = [[sum(row[x] * mu[(x, y)] for x in range(n)) for y in range(n)] for row in rows]
+    assert _mobius_solve(p.leq, v).tolist() == expect
+    certified = all(abs(a) < 2**53 for row in rows for a in row) and all(
+        sum(map(abs, row)) < 2**53 for row in expect
+    )
+    lt = p.leq & ~np.eye(n, dtype=bool)
+    guess = _solve_in_float(lt, _levels(lt), v)
+    assert (guess is not None) == certified
+    if certified:
+        assert guess.tolist() == expect
+        assert {type(c) for row in guess.tolist() for c in row} <= {int}
+
+
+@pytest.mark.parametrize(
+    "value",
+    # np.abs(int64 min) is int64 min, negative, so a |v| < 2**53 test
+    # built on np.abs would pass it; a Python int past float64's range
+    # would raise OverflowError on the way into float64
+    [np.array([[-(2**63)]], dtype=np.int64), np.array([[2**1100]], dtype=object)],
+    ids=["int64-min", "past-float64"],
+)
+def test_values_past_the_float_bound_go_straight_to_python_ints(value):
+    p = posetzoo.chain(1)
+    lt = np.zeros((1, 1), dtype=bool)
+    assert _solve_in_float(lt, _levels(lt), value) is None
+    assert _mobius_solve(p.leq, value).tolist() == [[int(value[0, 0])]]
+    h = PosetFunction(posetzoo.chain(2), [-(2**63), 0])
+    assert [c for c, _ in mobius_coefficients(h).terms] == [-(2**63), 2**63]
+
+
+def test_network_readers_take_the_float_level_solve(monkeypatch):
+    net = random_network([30] * 8, 0.1, 40, 1605)
+    p = net.poset
+    _refuse(monkeypatch, "_solve_exact")
+    assert p.euler_characteristic() == p.euler_characteristic_by_chains()
+    assert integrate(net.counting) == 40
+    layers = posetzoo.chain(8)
+    f = PosetMap(p, layers, [x // 30 for x in range(p.n)])
+    assert integrate(pushforward(f, net.counting)) == 40
+    assert mobius_coefficients(net.counting).coefficient_sum() == 40
 
 
 V_SHAPE = Poset.from_covers(3, [(0, 2), (1, 2)])  # two minima under one maximum

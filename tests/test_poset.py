@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 import posetzoo
 from eulerscan import CycleDetected, Poset, SizeLimitExceeded, are_isomorphic
+from eulerscan import poset as poset_module
 from eulerscan.poset import _closure, _cover_matrix, _mobius_row_sums
 from posetzoo import B2, B3, M1, M2, M3, M4, T1, T2, T3, TRELLIS_COVERS
 
@@ -377,6 +378,50 @@ def test_non_isomorphic_same_signature_counts():
 # ----------------------------------------------------------------------
 # properties on seeded random posets
 # ----------------------------------------------------------------------
+
+
+def test_ordinal_sums_past_the_float_bound_fall_back_to_python_ints(monkeypatch):
+    # chi = 1 - 2**70: the row sums leave float64's exact integers, so
+    # the certificate fails and the Python-int recursion answers
+    calls = []
+    exact = poset_module._solve_exact
+
+    def counted(*args):
+        calls.append(args[2].shape)
+        return exact(*args)
+
+    monkeypatch.setattr(poset_module, "_solve_exact", counted)
+    p = _ordinal_sum_of_antichains(70, 3)
+    assert p.euler_characteristic() == 1 - 2**70
+    assert calls == [(1, p.n)]
+    small = _ordinal_sum_of_antichains(20, 3)
+    assert small.euler_characteristic() == 1 - (1 - 3) ** 20
+    assert calls == [(1, p.n)]  # well inside 2**53: the float solve answered
+
+
+def test_moebius_route_raises_on_a_cycle_instead_of_spinning():
+    # the plain constructor trusts its arguments; a level pass that met
+    # no element free of unsolved lower ones would otherwise loop or
+    # return a number, so the probe runs in a fresh interpreter with a
+    # timeout
+    probe = "\n".join([
+        "import numpy as np",
+        "from eulerscan import CycleDetected, Poset",
+        "p = Poset(3, frozenset(), np.array([[1, 1, 1], [0, 1, 1], [0, 1, 1]], bool))",
+        "for call in (p.euler_characteristic, p.mobius):",
+        "    try:",
+        "        print(call())",
+        "    except CycleDetected as err:",
+        "        print(type(err).__name__, err)",
+    ])
+    tests = pathlib.Path(__file__).resolve().parent
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    line = "CycleDetected order relation contains a directed cycle\n"
+    assert out == line * 2
 
 
 def test_zeta_mobius_inverse_and_route_agreement():

@@ -203,7 +203,8 @@ def indicator(p: Poset, s: "ElementSet | Iterable[int]") -> PosetFunction:
 
 def _coefficients(h: PosetFunction) -> np.ndarray:
     """``h @ mu`` as Python ints: the Moebius coefficient of every element."""
-    return _mobius_solve(h.parent.leq, h.values[None, :])[0]
+    p = h.parent
+    return _mobius_solve(p.leq, h.values[None, :], p._level_sets())[0]
 
 
 def mobius_coefficients(h: PosetFunction) -> FilterLinearForm:

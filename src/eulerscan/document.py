@@ -300,19 +300,6 @@ class PosetDocument:
 # ----------------------------------------------------------------------
 
 
-def _levels(poset: Poset) -> list[int]:
-    """Longest-path depth of each element above the minimal ones."""
-    level = [0] * poset.n
-    order = sorted(range(poset.n), key=lambda x: int(poset.leq[:, x].sum()))
-    below = {b: [] for b in range(poset.n)}
-    for a, b in poset.covers:
-        below[b].append(a)
-    for x in order:
-        if below[x]:
-            level[x] = 1 + max(level[a] for a in below[x])
-    return level
-
-
 def to_dot(doc: PosetDocument, function_name: str | None = None) -> str:
     """Render the Hasse diagram as a deterministic DOT digraph.
 
@@ -344,12 +331,11 @@ def to_dot(doc: PosetDocument, function_name: str | None = None) -> str:
         label = label.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{doc_id} [label="{label}"];')
 
-    levels = _levels(poset)
-    by_level: dict[int, list[int]] = {}
-    for doc_id in doc.ids:
-        by_level.setdefault(levels[doc.dense_id(doc_id)], []).append(doc_id)
-    for lvl in sorted(by_level):
-        row = "; ".join(f"n{doc_id}" for doc_id in by_level[lvl])
+    # level k of the poset, the elements whose longest chain below has k
+    # steps, is rank k
+    for level in poset._level_sets():
+        doc_ids = sorted(doc.doc_id(x) for x in level.tolist())
+        row = "; ".join(f"n{doc_id}" for doc_id in doc_ids)
         lines.append(f"  {{ rank=same; {row}; }}")
 
     kept = {

@@ -32,13 +32,18 @@ class TargetPosition:
     node: int = -1
     edge: tuple[int, int] = (-1, -1)
 
+    def __post_init__(self):
+        # TypeError for an id that is not an integer
+        object.__setattr__(self, "node", operator.index(self.node))
+        object.__setattr__(self, "edge", tuple(map(operator.index, self.edge)))
+
     @classmethod
     def at_node(cls, x: int) -> "TargetPosition":
-        return cls(kind="node", node=operator.index(x))
+        return cls(kind="node", node=x)
 
     @classmethod
     def on_edge(cls, lower: int, upper: int) -> "TargetPosition":
-        return cls(kind="edge", edge=(operator.index(lower), operator.index(upper)))
+        return cls(kind="edge", edge=(lower, upper))
 
 
 @dataclass(frozen=True)
@@ -212,7 +217,12 @@ def random_network(
                     covers.append((a, b))
 
     poset = Poset.from_covers(n, covers)
-    spots = [TargetPosition.at_node(x) for x in range(n)]
-    spots += [TargetPosition.on_edge(a, b) for a, b in sorted(poset.covers)]
-    positions = [spots[rng.randrange(len(spots))] for _ in range(target_count)]
+    # spot k is node k for k < n, else the (k - n)-th cover in sorted order
+    edges = sorted(poset.covers)
+    positions = []
+    for _ in range(target_count):
+        k = rng.randrange(n + len(edges))
+        positions.append(
+            TargetPosition.at_node(k) if k < n else TargetPosition.on_edge(*edges[k - n])
+        )
     return SensorNetwork(poset, TargetSet.of(positions))

@@ -4,16 +4,23 @@ Elements are always the integers ``0..n-1``, optionally carrying labels.
 A poset is built from Hasse-diagram cover pairs; the full order is the
 reflexive-transitive closure of the covers and lives in a read-only
 ``n x n`` boolean matrix ``leq``, with ``leq[x, y]`` meaning ``x <= y``.
+One Kahn pass over the given pairs finds a cycle or sorts the elements
+into antichain levels, and one walk down those levels builds the order
+and tells the kept covers from pairs implied by a longer path.
 
 Two independent Euler-characteristic routes are provided, each one pass
 over a start vector: a solve against the zeta matrix (``_mobius_solve``
 gives ``v @ mu`` for any rows v; chi is the sum of the Moebius row sums),
 and an alternating count of strict chains, optionally weighted by their
 bottoms (``_chi_by_chains``).  They must agree on every poset, and the
-test suite leans on that redundancy.  Each poset solves its Moebius row
-sums R once and keeps them, frozen, in its one cache slot; every reader
-of R (chi, integrals, chi-points, point classes, chi-distinguished maps)
-shares that vector.  Only :meth:`Poset.mobius` builds the full table.
+test suite leans on that redundancy.  Each poset keeps three derived
+facts in frozen cache slots, each filled once when first needed: its
+covers (given by :meth:`Poset.from_covers`, derived from the order for
+subposets and opposites), its antichain levels (which every solve on the
+poset reads, reversed for the opposite order) and its Moebius row sums
+R.  Every reader of R (chi, integrals, chi-points, point classes,
+chi-distinguished maps) shares that vector.  Only :meth:`Poset.mobius`
+builds the full table.
 
 All counting arithmetic is exact.  A solve runs one antichain level at
 a time in float64 BLAS, and its answer is kept only when one exact check
@@ -26,8 +33,8 @@ arrays at every size.  A 0/1 matrix times an integer vector (a chain
 count step, a transport) is one exact ``_zero_one_product``: in int64
 when the vector's absolute values sum below 2**63, a bound no entry or
 partial sum of the product can pass, and on Python ints otherwise.  The
-boolean products of the order closure and the cover matrix run in
-float32, where every entry is a count below 2**24.
+counting products of the order walk and the cover matrix run in float32,
+where every entry is a count below 2**24.
 """
 
 from __future__ import annotations
@@ -55,52 +62,70 @@ def _bool_square(a: np.ndarray) -> np.ndarray:
     return (f @ f) > 0
 
 
-def _closure(adj: np.ndarray) -> np.ndarray:
-    """Reflexive-transitive closure of an adjacency matrix, by doubling."""
-    n = adj.shape[0]
-    reach = adj | np.eye(n, dtype=bool)
-    while True:
-        nxt = reach | _bool_square(reach)
-        if np.array_equal(nxt, reach):
-            return reach
-        reach = nxt
-
-
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 _CHECK_COLUMNS = 64  # columns per product of the residual check
 
 
-def _levels(lt: np.ndarray) -> list[np.ndarray]:
-    """The elements of the strict order ``lt`` in antichain levels, by a
-    Kahn pass: each level holds the unsolved elements with no unsolved
-    element strictly below them.  A pass that runs out of such elements
-    has met a directed cycle and raises :class:`CycleDetected`."""
-    pending = lt.sum(axis=0)  # unsolved strict lower elements of each y
-    levels, left = [], lt.shape[0]
+def _levels(rel: np.ndarray, relation: str = "order") -> tuple[np.ndarray, ...]:
+    """The elements of the acyclic relation ``rel`` in antichain levels,
+    by a Kahn pass: each level holds the unplaced elements with no
+    unplaced element related below them, so level k holds the elements
+    whose longest path from below has k steps.  A pass that runs out of
+    such elements has met a directed cycle and raises
+    :class:`CycleDetected`."""
+    pending = rel.sum(axis=0)  # unplaced lower elements of each y
+    levels, left = [], rel.shape[0]
     while left:
         level = np.flatnonzero(pending == 0)
         if not level.size:
-            raise CycleDetected("order relation contains a directed cycle")
-        levels.append(level)
+            raise CycleDetected(f"{relation} relation contains a directed cycle")
+        levels.append(_freeze(level))
         left -= level.size
         pending[level] = -1
-        pending -= lt[level].sum(axis=0)
-    return levels
+        pending -= rel[level].sum(axis=0)
+    return tuple(levels)
 
 
-def _mobius_solve(leq: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _close(adj: np.ndarray, levels) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """The order generated by the arcs ``adj`` of an acyclic digraph, and
+    the arcs implied by a longer path, sorted, in one walk down its
+    ``levels``.
+
+    The row of x in the order is x's own bit or the rows of its arc
+    heads, all in higher levels.  Each level is one float32 product: entry
+    (x, z) of ``up`` counts the heads of x at or below z, so it is
+    positive exactly when x < z, and above 1 on an arc (x, c) exactly
+    when another head of x lies below c.  Counts stay below n, exact
+    while n < 2**24.
+    """
+    reach = np.eye(adj.shape[0], dtype=np.float32)
+    implied = []
+    for level in reversed(levels):
+        arcs = adj[level]
+        heads = np.flatnonzero(np.logical_or.reduce(arcs, axis=0))
+        if heads.size:
+            up = arcs[:, heads].astype(np.float32) @ reach[heads]
+            reach[level] = up > 0
+            reach[level, level] = 1
+            rows, cols = np.nonzero(arcs & (up > 1))
+            implied += zip(level[rows].tolist(), cols.tolist())
+    return reach > 0, sorted(implied)
+
+
+def _mobius_solve(leq: np.ndarray, v: np.ndarray, levels) -> np.ndarray:
     """``v @ mu`` for each row of ``v``, with mu the Moebius matrix of
     ``leq``, as Python ints.
 
     Solves ``c @ zeta = v``: c[:, y] = v[:, y] - sum(c[:, z] for z < y),
-    one antichain level at a time (see ``_levels``).  On the identity
-    this is the recursion mu(x, y) = -sum(mu(x, z) for x <= z < y) that
-    defines the table.  The levels are solved in float64 BLAS and the
-    answer kept only when certified exact (``_solve_in_float``); else the
-    same recursion runs again on Python ints.
+    one antichain level of ``levels`` at a time, where every element
+    strictly below a level lies in an earlier one (``_levels`` of the
+    strict order, or those of the opposite order reversed).  On the
+    identity this is the recursion mu(x, y) = -sum(mu(x, z) for x <= z <
+    y) that defines the table.  The levels are solved in float64 BLAS and
+    the answer kept only when certified exact (``_solve_in_float``); else
+    the same recursion runs again on Python ints.
     """
     lt = leq & ~np.eye(leq.shape[0], dtype=bool)
-    levels = _levels(lt)
     c = _solve_in_float(lt, levels, v)
     return c if c is not None else _solve_exact(lt, levels, v)
 
@@ -151,12 +176,6 @@ def _solve_exact(lt, levels, v) -> np.ndarray:
     return c
 
 
-def _mobius_row_sums(leq: np.ndarray) -> np.ndarray:
-    """R(x) = sum(mu(x, y) for y): one solve on the opposite order, whose
-    Moebius matrix is mu transposed.  chi({y : y > x}) = 1 - R(x)."""
-    return _mobius_solve(leq.T, np.ones((1, leq.shape[0]), dtype=object))[0]
-
-
 def _zero_one_product(a: np.ndarray, x) -> list[int]:
     """``a @ x`` for a 0/1 matrix ``a`` and a vector ``x`` of Python ints,
     exact, as a list of Python ints.
@@ -180,17 +199,21 @@ def _chi_by_chains(leq: np.ndarray, weights) -> int:
     current length whose top is y; ``below @ r``, with row y of ``below``
     marking the elements strictly below y, extends each by a step up.
     ``r`` stays Python ints between steps, so the level sums are exact,
-    and each step is one exact ``_zero_one_product``.
+    and each step is one exact ``_zero_one_product``.  A strict chain
+    has at most n elements, so a vector still non-zero after n steps
+    proves a cycle in a trusted ``leq`` and raises :class:`CycleDetected`.
     """
     n = leq.shape[0]
     below = (leq & ~np.eye(n, dtype=bool)).T.astype(np.int64, order="C")
     r = [operator.index(w) for w in weights]
     chi, sign = 0, 1
-    while any(r):
+    for _ in range(n + 1):
+        if not any(r):
+            return chi
         chi += sign * sum(r)
         sign = -sign
         r = _zero_one_product(below, r)
-    return chi
+    raise CycleDetected("order relation contains a directed cycle")
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
@@ -285,27 +308,30 @@ class Poset:
     """A finite partial order on the elements ``0..n-1``.
 
     Instances are immutable after construction and safe to share between
-    any number of concurrent readers: the one cache, the Moebius row sums,
-    is filled idempotently (racing readers store equal frozen vectors).
-    Use :meth:`from_covers` to build one; the plain constructor trusts its
-    arguments.
+    any number of concurrent readers.  Three facts derived from the order
+    are cached, each filled idempotently on first use (racing readers
+    store equal frozen values): the cover pairs, the antichain levels and
+    the Moebius row sums.  Use :meth:`from_covers` to build one; the
+    plain constructor trusts its arguments, and ``covers=None`` leaves
+    the covers to be derived from ``leq`` when first read.
     """
 
-    __slots__ = ("n", "labels", "covers", "leq", "dropped_covers", "_r")
+    __slots__ = ("n", "labels", "leq", "dropped_covers", "_covers", "_lv", "_r")
 
     def __init__(
         self,
         n: int,
-        covers: frozenset[tuple[int, int]],
+        covers: frozenset[tuple[int, int]] | None,
         leq: np.ndarray,
         labels: tuple[str, ...] | None = None,
         dropped_covers: tuple[tuple[int, int], ...] = (),
     ):
         self.n = n
-        self.covers = covers
+        self._covers = covers
         self.leq = _freeze(leq)
         self.labels = labels
         self.dropped_covers = dropped_covers
+        self._lv: tuple[np.ndarray, ...] | None = None
         self._r: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -323,7 +349,10 @@ class Poset:
 
         Duplicate pairs are ignored.  Pairs already implied by a longer
         path are dropped and reported on ``dropped_covers`` rather than
-        rejected; a directed cycle raises :class:`CycleDetected`.
+        rejected; a directed cycle raises :class:`CycleDetected`.  One
+        Kahn pass over the pairs finds the cycle or the antichain levels,
+        and one walk down the levels (``_close``) yields the order and
+        the implied pairs.
         """
         pairs = set()
         for a, b in covers:
@@ -337,25 +366,41 @@ class Poset:
         adj = np.zeros((n, n), dtype=bool)
         for a, b in pairs:
             adj[a, b] = True
-        leq = _closure(adj)
-        # a cycle makes two distinct elements reach each other
-        if np.count_nonzero(leq & leq.T) != n:
-            raise CycleDetected("cover relation contains a directed cycle")
-        kept = _covers_of_leq(leq)  # every cover of the closure is a given pair
-        dropped = tuple(sorted(pairs - kept))
+        levels = _levels(adj, "cover")
+        leq, dropped = _close(adj, levels)
 
         if labels is not None:
             labels = tuple(str(s) for s in labels)
             if len(labels) != n:
                 raise ValueError("labels must have one entry per element")
-        return cls(n, kept, leq, labels, dropped)
+        # the covers are the pairs no longer path implies, and the longest
+        # paths are chains of covers, so the levels are those of the order
+        p = cls(n, frozenset(pairs.difference(dropped)), leq, labels, tuple(dropped))
+        p._lv = levels
+        return p
 
     @classmethod
     def _from_leq(
         cls, leq: np.ndarray, labels: tuple[str, ...] | None = None
     ) -> "Poset":
-        """Internal: wrap an already-valid order matrix."""
-        return cls(leq.shape[0], _covers_of_leq(leq), leq.copy(), labels)
+        """Internal: wrap an already-valid order matrix, which the poset
+        then owns; covers and levels are derived when first used."""
+        return cls(leq.shape[0], None, leq, labels)
+
+    @property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """The Hasse-diagram pairs ``(lower, upper)``."""
+        if self._covers is None:
+            self._covers = _covers_of_leq(self.leq)
+        return self._covers
+
+    def _level_sets(self) -> tuple[np.ndarray, ...]:
+        """The elements in antichain levels, level k holding those whose
+        longest chain below has k steps (see ``_levels``): found on first
+        use and then shared read-only by every solve on this poset."""
+        if self._lv is None:
+            self._lv = _levels(self.leq & ~np.eye(self.n, dtype=bool))
+        return self._lv
 
     # ------------------------------------------------------------------
     # element bookkeeping
@@ -429,8 +474,8 @@ class Poset:
 
         Returns the subposet (elements renumbered 0..k-1 in ascending
         parent order) and the tuple mapping new ids back to parent ids.
-        Covers are recomputed from the restricted order, so they may
-        include pairs that were not covers of the parent.
+        Covers are derived from the restricted order when first read, so
+        they may include pairs that were not covers of the parent.
         """
         members = self._member_list(s)
         sub = self.leq[np.ix_(members, members)]
@@ -457,13 +502,20 @@ class Poset:
     def mobius(self) -> MobiusTable:
         """The full Moebius table, built by one solve on each call."""
         eye = np.eye(self.n, dtype=np.int8)  # the smallest exact identity
-        return MobiusTable(self, _freeze(_mobius_solve(self.leq, eye)))
+        return MobiusTable(self, _freeze(_mobius_solve(self.leq, eye, self._level_sets())))
 
     def _row_sums(self) -> np.ndarray:
-        """The Moebius row sums R, solved on first use and then shared
-        read-only by every reader of this poset."""
+        """The Moebius row sums R(x) = sum(mu(x, y) for y), solved on first
+        use and then shared read-only by every reader of this poset.
+
+        One solve on the opposite order, whose Moebius matrix is mu
+        transposed, with this order's levels reversed.  chi({y : y > x})
+        = 1 - R(x).
+        """
         if self._r is None:
-            self._r = _freeze(_mobius_row_sums(self.leq))
+            ones = np.ones((1, self.n), dtype=object)
+            r = _mobius_solve(self.leq.T, ones, self._level_sets()[::-1])[0]
+            self._r = _freeze(r)
         return self._r
 
     def euler_characteristic(self) -> int:

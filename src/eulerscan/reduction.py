@@ -137,7 +137,8 @@ def classify_points(p: Poset) -> PointClass:
     cov = _cover_matrix(p.leq)
     down, up = cov.sum(axis=1) == 1, cov.sum(axis=0) == 1
     is_chi_point = p._row_sums() == 0
-    is_dual_chi_point = _mobius_solve(p.leq, np.ones((1, p.n), dtype=object))[0] == 0
+    ones = np.ones((1, p.n), dtype=object)
+    is_dual_chi_point = _mobius_solve(p.leq, ones, p._level_sets())[0] == 0
     lt = p.leq & ~np.eye(p.n, dtype=bool)
 
     def weak(beat, chi_point, side) -> frozenset[int]:

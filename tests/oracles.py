@@ -2,11 +2,12 @@
 
 Everything here favours obvious correctness over speed and stays away
 from the library's own derivations wherever a check needs independence:
-order closure by digraph search, Euler characteristics by explicit chain
-enumeration, filters by scanning every subset, contractibility by
-exhaustive beat-point removal in all orders, cores by re-deriving the
-covers after every removal, transports by Moebius recursion on each
-preimage, chi-minimal models by removing one chi-point at a time.
+order closure by digraph search and by repeated squaring, Euler
+characteristics by explicit chain enumeration, filters by scanning
+every subset, contractibility by exhaustive beat-point removal in all
+orders, cores by re-deriving the covers after every removal, transports
+by Moebius recursion on each preimage, chi-minimal models by removing
+one chi-point at a time, target draws from an explicit list of spots.
 """
 
 import itertools
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from eulerscan import Poset
+from eulerscan import Poset, TargetPosition
 
 
 def reachability(n, covers):
@@ -34,6 +35,19 @@ def reachability(n, covers):
                 seen.add(v)
                 stack.append(v)
     return pairs
+
+
+def closure_by_doubling(adj):
+    """Reflexive-transitive closure of an adjacency matrix, by squaring
+    until it stops changing (each product in float32, exact for n < 2**24)."""
+    n = adj.shape[0]
+    reach = adj | np.eye(n, dtype=bool)
+    while True:
+        f = reach.astype(np.float32)
+        nxt = reach | ((f @ f) > 0)
+        if np.array_equal(nxt, reach):
+            return reach
+        reach = nxt
 
 
 def chains_by_length(elements, leq_pairs):
@@ -225,6 +239,25 @@ def chi_minimal_model_by_iteration(p, tie_break=None):
 # ----------------------------------------------------------------------
 # seeded generators
 # ----------------------------------------------------------------------
+
+
+def targets_by_spot_list(layer_sizes, density, target_count, seed):
+    """The target positions of ``random_network``, drawn from an explicit
+    list of every spot: the nodes in id order, then the covers sorted."""
+    rng = random.Random(seed)
+    starts = list(itertools.accumulate(layer_sizes, initial=0))
+    layers = [range(a, b) for a, b in zip(starts, starts[1:])]
+    covers = [
+        (a, b)
+        for lower, upper in zip(layers, layers[1:])
+        for a in lower
+        for b in upper
+        if rng.random() < density
+    ]
+    poset = Poset.from_covers(starts[-1], covers)
+    spots = [TargetPosition.at_node(x) for x in range(poset.n)]
+    spots += [TargetPosition.on_edge(a, b) for a, b in sorted(poset.covers)]
+    return sorted(spots[rng.randrange(len(spots))] for _ in range(target_count))
 
 
 def random_poset(rng: random.Random, max_n=8, edge_prob=0.3, shuffle=False) -> Poset:

@@ -398,3 +398,17 @@ def test_18_certified_moebius_table_at_n2000():
         assert np.array_equal(mu[rows], exact_rows)
         assert np.array_equal(small.mobius().mu, exact_small)
         assert mu.sum() == 50068958991
+
+
+def test_19_cli_simulate_at_n4000():
+    # the order is built by one walk down the Kahn levels, and the
+    # subposets of the model and the support derive no covers
+    with criterion(19, "simulate at n=4000", 5.0):
+        code, text = run_cli(
+            "simulate", "--layers", "x".join(["500"] * 8), "--density", "0.1",
+            "--targets", "100", "--corrupt", "chi-points", "--seed", "1", "--json",
+        )
+        report = json.loads(text)
+        assert code == 0 and report["verdict"] == "pass"
+        assert report["results"]["nodes"] == 4000
+        assert report["results"]["full_estimate"] == 100

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import sys
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import eulerscan
 import oracles
 import posetzoo
 from eulerscan import (
@@ -21,10 +23,12 @@ from eulerscan import (
     PosetFunction,
     PosetMap,
     TargetPosition,
+    TargetSet,
     chi_minimal_model,
     classify_points,
     core,
     corrupt,
+    counting_function,
     enumerate_reduced,
     indicator,
     integrate,
@@ -41,7 +45,6 @@ from eulerscan.poset import (
     ElementSet,
     _chi_by_chains,
     _levels,
-    _mobius_row_sums,
     _mobius_solve,
     _solve_in_float,
 )
@@ -182,6 +185,7 @@ INTEGER_SITES = {
     ),
     "target_node": lambda v: TargetPosition.at_node(v),
     "target_edge": lambda v: TargetPosition.on_edge(0, v),
+    "target_position": lambda v: TargetPosition("node", v),
     "noise_ids": lambda v: NoiseSpec.random([v], seed=1),
     "corrupt_element": lambda v: corrupt(NET3, NoiseSpec({v: 0})),
     "corrupt_value": lambda v: corrupt(NET3, NoiseSpec({0: v})),
@@ -216,6 +220,12 @@ NEGATIVE_ID_SITES = {
     "with_value": lambda v: PosetFunction(CHAIN3, [0, 1, 2]).with_value(v, 1),
     "map_image": lambda v: PosetMap(CHAIN3, CHAIN3, [0, v, 2]),
     "map_call": lambda v: PosetMap.identity(CHAIN3)(v),
+    "target_node": lambda v: counting_function(
+        CHAIN3, TargetSet.of([TargetPosition.at_node(v)])
+    ),
+    "target_edge": lambda v: counting_function(
+        CHAIN3, TargetSet.of([TargetPosition.on_edge(v, 2)])
+    ),
 }
 
 
@@ -225,6 +235,55 @@ def test_element_ids_outside_the_poset_raise_instead_of_wrapping(site, value):
     NEGATIVE_ID_SITES[site](1)  # a valid id is accepted
     with pytest.raises(ValueError):
         NEGATIVE_ID_SITES[site](value)
+
+
+# the entries above that exercise each public callable taking a parameter
+# named like an element id
+ID_PARAMETERS = {"x", "y", "node", "lower", "upper", "pair"}
+ID_PARAMETER_SITES = {
+    "MobiusTable.__getitem__": ("mobius_row", "mobius_column"),
+    "Poset.label": ("label",),
+    "Poset.less_equal": ("less_equal",),
+    "Poset.up_set": ("up_set",),
+    "Poset.down_set": ("down_set",),
+    "PosetFunction.__getitem__": ("function_getitem",),
+    "PosetFunction.with_value": ("with_value",),
+    "PosetMap.__call__": ("map_call",),
+    "TargetPosition.__init__": ("target_position",),
+    "TargetPosition.at_node": ("target_node",),
+    "TargetPosition.on_edge": ("target_edge",),
+}
+
+
+def _public_callables():
+    """(qualified name, function) for every function in ``eulerscan.__all__``
+    and every public method, constructor, call and item access of its
+    classes.  ``__contains__`` answers membership for any value, so it is
+    not an id site."""
+    for name in eulerscan.__all__:
+        obj = getattr(eulerscan, name)
+        if not inspect.isclass(obj):
+            yield name, obj
+            continue
+        for attr, member in vars(obj).items():
+            if attr.startswith("_") and attr not in ("__init__", "__call__", "__getitem__"):
+                continue
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            if inspect.isfunction(member):
+                yield f"{name}.{attr}", member
+
+
+def test_every_public_id_parameter_is_a_listed_site():
+    found = {
+        qualname
+        for qualname, function in _public_callables()
+        if ID_PARAMETERS & set(inspect.signature(function).parameters)
+    }
+    assert found == set(ID_PARAMETER_SITES)
+    for qualname, keys in ID_PARAMETER_SITES.items():
+        for key in keys:
+            assert key in INTEGER_SITES or key in NEGATIVE_ID_SITES, (qualname, key)
 
 
 def test_valid_ids_read_the_element_they_name():
@@ -507,15 +566,17 @@ def test_zeta_solve_and_weighted_chain_count_match_oracles(seed, data):
     mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
     values = st.one_of(INT64_EDGES, st.integers(-5, 5))
     h = data.draw(st.lists(values, min_size=n, max_size=n))
-    table = _mobius_solve(p.leq, np.eye(n, dtype=np.int64)).tolist()
+    levels = p._level_sets()
+    table = _mobius_solve(p.leq, np.eye(n, dtype=np.int64), levels).tolist()
     assert table == [[mu[(x, y)] for y in range(n)] for x in range(n)]
     ones = np.ones((1, n), dtype=object)
     column_sums = [sum(mu[(x, y)] for x in range(n)) for y in range(n)]
     row_sums = [sum(mu[(x, y)] for y in range(n)) for x in range(n)]
-    assert _mobius_solve(p.leq, ones)[0].tolist() == column_sums
-    assert _mobius_row_sums(p.leq).tolist() == row_sums
+    assert _mobius_solve(p.leq, ones, levels)[0].tolist() == column_sums
+    assert p._row_sums().tolist() == row_sums
     coefficients = [sum(h[x] * mu[(x, y)] for x in range(n)) for y in range(n)]
-    assert _mobius_solve(p.leq, np.array([h], dtype=object))[0].tolist() == coefficients
+    rows = np.array([h], dtype=object)
+    assert _mobius_solve(p.leq, rows, levels)[0].tolist() == coefficients
     # the Fubini identity behind the excursion route holds for any h
     dot = sum(v * r for v, r in zip(h, row_sums))
     assert _chi_by_chains(p.leq, h) == dot == integrate(PosetFunction(p, h))
@@ -550,7 +611,7 @@ def test_float_level_solve_is_kept_exactly_when_its_certificate_holds(
     )
     v = np.array(rows, dtype=np.int64 if as_int64 else object).reshape(len(rows), n)
     expect = [[sum(row[x] * mu[(x, y)] for x in range(n)) for y in range(n)] for row in rows]
-    assert _mobius_solve(p.leq, v).tolist() == expect
+    assert _mobius_solve(p.leq, v, p._level_sets()).tolist() == expect
     certified = all(abs(a) < 2**53 for row in rows for a in row) and all(
         sum(map(abs, row)) < 2**53 for row in expect
     )
@@ -574,7 +635,7 @@ def test_values_past_the_float_bound_go_straight_to_python_ints(value):
     p = posetzoo.chain(1)
     lt = np.zeros((1, 1), dtype=bool)
     assert _solve_in_float(lt, _levels(lt), value) is None
-    assert _mobius_solve(p.leq, value).tolist() == [[int(value[0, 0])]]
+    assert _mobius_solve(p.leq, value, p._level_sets()).tolist() == [[int(value[0, 0])]]
     h = PosetFunction(posetzoo.chain(2), [-(2**63), 0])
     assert [c for c, _ in mobius_coefficients(h).terms] == [-(2**63), 2**63]
 

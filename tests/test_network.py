@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 import oracles
 import posetzoo
+from cliharness import run_cli
 from eulerscan import (
     ImpossibleShape,
     NoiseSpec,
+    Poset,
     SensorNetwork,
     TargetPosition,
     TargetSet,
@@ -19,6 +22,7 @@ from eulerscan import (
     random_network,
     sensor_placement_plan,
 )
+from eulerscan import poset as poset_module
 from posetzoo import (
     B2,
     B3,
@@ -239,6 +243,45 @@ def test_generator_is_deterministic():
     assert a.poset.covers == b.poset.covers
     assert a.targets == b.targets
     assert a.counting == b.counting
+
+
+def test_generator_draws_the_targets_of_the_spot_list():
+    rng = random.Random(59)
+    for _ in range(40):
+        sizes = [rng.randint(0, 6) for _ in range(rng.randint(1, 4))]
+        count = rng.randint(0, 30) if sum(sizes) else 0
+        density, seed = rng.uniform(0, 1), rng.randrange(10**6)
+        net = random_network(sizes, density, count, seed)
+        want = oracles.targets_by_spot_list(sizes, density, count, seed)
+        assert list(net.targets.positions) == want
+
+
+def test_simulate_derives_no_covers_for_the_model_or_the_support(monkeypatch):
+    # the chi-minimal model and the reduced support are induced subposets
+    # whose covers no step of simulate reads
+    derived, subposets = [], []
+    derive = poset_module._covers_of_leq
+    restrict = Poset.induced_subposet
+
+    def counted(leq):
+        derived.append(leq.shape[0])
+        return derive(leq)
+
+    def recorded(self, s):
+        sub, mapping = restrict(self, s)
+        subposets.append(sub)
+        return sub, mapping
+
+    monkeypatch.setattr(poset_module, "_covers_of_leq", counted)
+    monkeypatch.setattr(Poset, "induced_subposet", recorded)
+    code, text = run_cli(
+        "simulate", "--layers", "6x6x6x6", "--density", "0.3", "--targets", "20",
+        "--corrupt", "chi-points", "--seed", "3", "--json",
+    )
+    assert code == 0 and json.loads(text)["verdict"] == "pass"
+    assert len(subposets) == 2  # the model, then the support
+    assert all(sub._covers is None for sub in subposets)
+    assert len(derived) <= 1
 
 
 def test_generator_zero_targets():

@@ -13,13 +13,16 @@ import oracles
 import posetzoo
 from eulerscan import CycleDetected, Poset, SizeLimitExceeded, are_isomorphic
 from eulerscan import poset as poset_module
-from eulerscan.poset import _closure, _cover_matrix, _mobius_row_sums
+from eulerscan.poset import _cover_matrix, _levels, _mobius_solve
 from posetzoo import B2, B3, M1, M2, M3, M4, T1, T2, T3, TRELLIS_COVERS
 
 
 # ----------------------------------------------------------------------
 # construction
 # ----------------------------------------------------------------------
+
+
+COVER_CYCLE = "cover relation contains a directed cycle"
 
 
 def test_two_element_chain():
@@ -34,7 +37,7 @@ def test_trellis_reachability_through_middle(trellis):
 
 
 def test_cycle_rejected():
-    with pytest.raises(CycleDetected):
+    with pytest.raises(CycleDetected, match=f"^{COVER_CYCLE}$"):
         Poset.from_covers(2, [(0, 1), (1, 0)])
     with pytest.raises(CycleDetected):
         Poset.from_covers(1, [(0, 0)])
@@ -255,7 +258,9 @@ def test_row_sums_are_solved_once_and_shared_read_only(trellis):
     assert not r.flags.writeable
     with pytest.raises(ValueError):
         r[0] = 5
-    assert r.tolist() == _mobius_row_sums(trellis.leq).tolist()
+    lt = trellis.leq & ~np.eye(trellis.n, dtype=bool)
+    ones = np.ones((1, trellis.n), dtype=object)
+    assert r.tolist() == _mobius_solve(trellis.leq.T, ones, _levels(lt.T))[0].tolist()
     assert trellis.euler_characteristic() == sum(r) == 1
 
 
@@ -313,9 +318,25 @@ def test_closure_and_covers_match_boolean_products():
         reach = adj | np.eye(n, dtype=bool)
         while not np.array_equal(reach | (reach @ reach), reach):
             reach = reach | (reach @ reach)
-        assert np.array_equal(_closure(adj), reach)
+        assert np.array_equal(oracles.closure_by_doubling(adj), reach)
         lt = reach & ~np.eye(n, dtype=bool)
-        assert np.array_equal(_cover_matrix(reach), lt & ~(lt @ lt))
+        cov = lt & ~(lt @ lt)
+        assert np.array_equal(_cover_matrix(reach), cov)
+        # the one-walk build: order, kept and dropped pairs, levels
+        pairs = [tuple(pair) for pair in np.argwhere(adj).tolist()]
+        p = Poset.from_covers(n, pairs)
+        assert np.array_equal(p.leq, reach)
+        assert p.covers == {tuple(pair) for pair in np.argwhere(cov).tolist()}
+        assert p.dropped_covers == tuple(sorted(set(pairs) - p.covers))
+        assert [a.tolist() for a in p._level_sets()] == [a.tolist() for a in _levels(lt)]
+        # R from the reversed held levels, and from a fresh pass on lt.T
+        ones = np.ones((1, n), dtype=object)
+        fresh = _mobius_solve(reach.T, ones, _levels(lt.T))[0]
+        assert p._row_sums().tolist() == fresh.tolist()
+        if n >= 2:
+            a, b = np.argwhere(lt)[0].tolist() if lt.any() else (0, 1)
+            with pytest.raises(CycleDetected, match=f"^{COVER_CYCLE}$"):
+                Poset.from_covers(n, pairs + [(a, b), (b, a)])
 
 
 # ----------------------------------------------------------------------
@@ -399,27 +420,41 @@ def test_ordinal_sums_past_the_float_bound_fall_back_to_python_ints(monkeypatch)
     assert calls == [(1, p.n)]  # well inside 2**53: the float solve answered
 
 
-def test_moebius_route_raises_on_a_cycle_instead_of_spinning():
-    # the plain constructor trusts its arguments; a level pass that met
-    # no element free of unsolved lower ones would otherwise loop or
-    # return a number, so the probe runs in a fresh interpreter with a
-    # timeout
+def _calls_on_a_cycle(calls: str) -> str:
+    """What each call prints on the trusted 3-element order with
+    0 <= 1 <= 2 <= 1.  A route that never noticed the cycle could loop,
+    so the probe runs in a fresh interpreter with a timeout."""
     probe = "\n".join([
         "import numpy as np",
         "from eulerscan import CycleDetected, Poset",
         "p = Poset(3, frozenset(), np.array([[1, 1, 1], [0, 1, 1], [0, 1, 1]], bool))",
-        "for call in (p.euler_characteristic, p.mobius):",
+        f"for call in ({calls}):",
         "    try:",
         "        print(call())",
         "    except CycleDetected as err:",
         "        print(type(err).__name__, err)",
     ])
     tests = pathlib.Path(__file__).resolve().parent
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")),
         capture_output=True, text=True, check=True, timeout=60,
     ).stdout
+
+
+def test_moebius_route_raises_on_a_cycle_instead_of_spinning():
+    # the plain constructor trusts its arguments; a level pass that met
+    # no element free of unsolved lower ones would otherwise loop or
+    # return a number
+    out = _calls_on_a_cycle("p.euler_characteristic, p.mobius")
+    line = "CycleDetected order relation contains a directed cycle\n"
+    assert out == line * 2
+
+
+def test_chain_route_raises_on_a_cycle_instead_of_spinning():
+    # 1 < 2 < 1 < 2 ... is a strict chain of every length, so the chain
+    # vector never empties; past n steps it can only be a cycle
+    out = _calls_on_a_cycle("p.euler_characteristic_by_chains, lambda: p.chi_of([1, 2])")
     line = "CycleDetected order relation contains a directed cycle\n"
     assert out == line * 2
 

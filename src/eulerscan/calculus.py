@@ -12,8 +12,8 @@ ints (see ``eulerscan.poset``), and the transports sum them over 0/1
 masks with the same exact product as the chain count.  Monotone
 non-negative functions also admit the excursion-set decomposition, kept
 as an independent, mu-free cross-check route: one weighted chain count,
-exact, whose steps run in int64 while the chain weights in play sum
-below 2**63 in absolute value and on Python ints past that.
+exact, whose steps run in float64 BLAS while the chain weights in play
+sum below 2**53 in absolute value and on Python ints past that.
 
 Functions take int64 values.  Out-of-range inputs, and arithmetic or
 transports whose results leave int64, raise ``OverflowError`` instead
@@ -246,7 +246,7 @@ def integrate_excursion(h: PosetFunction) -> int:
         raise NotMonotone("excursion route requires a monotone function")
     if not h.is_nonnegative():
         raise NegativeValues("excursion route requires non-negative values")
-    return _chi_by_chains(h.parent.leq, h.values)
+    return _chi_by_chains(h.parent.leq, h.values.tolist())
 
 
 def pushforward(f: PosetMap, h: PosetFunction) -> PosetFunction:

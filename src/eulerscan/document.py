@@ -86,7 +86,8 @@ class PosetDocument:
     def from_obj(cls, raw: object) -> "PosetDocument":
         _expect(isinstance(raw, dict), "document must be a JSON object")
         unknown = set(raw) - _TOP_KEYS
-        _expect(not unknown, f"unknown document keys: {sorted(unknown)}")
+        if unknown:
+            raise ParseError(f"unknown document keys: {sorted(unknown)}")
         _expect("elements" in raw, "document is missing 'elements'")
         _expect("covers" in raw, "document is missing 'covers'")
 
@@ -96,7 +97,8 @@ class PosetDocument:
         for entry in raw["elements"]:
             _expect(isinstance(entry, dict), "each element must be an object")
             extra = set(entry) - {"id", "label"}
-            _expect(not extra, f"unknown element keys: {sorted(extra)}")
+            if extra:
+                raise ParseError(f"unknown element keys: {sorted(extra)}")
             _expect(_is_int(entry.get("id")), "element ids must be integers")
             ids.append(entry["id"])
             if "label" in entry:
@@ -112,36 +114,35 @@ class PosetDocument:
                 isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair)),
                 "each cover must be a [lower, upper] id pair",
             )
-            _expect(
-                pair[0] in id_set and pair[1] in id_set,
-                f"cover {pair} references unknown ids",
-            )
+            if not (pair[0] in id_set and pair[1] in id_set):
+                raise ParseError(f"cover {pair} references unknown ids")
             covers.append((pair[0], pair[1]))
 
         functions: dict[str, dict[int, int]] = {}
         if "functions" in raw:
             _expect(isinstance(raw["functions"], dict), "'functions' must be an object")
             for name, table in raw["functions"].items():
-                _expect(isinstance(table, dict), f"function {name!r} must be an object")
+                if not isinstance(table, dict):
+                    raise ParseError(f"function {name!r} must be an object")
                 parsed: dict[int, int] = {}
                 for key, value in table.items():
-                    _expect(
-                        _CANONICAL_ID.fullmatch(key) is not None,
-                        f"function {name!r} has a non-canonical id {key!r}",
-                    )
-                    _expect(
-                        _is_int(value),
-                        f"function {name!r} has a non-integer value at id {key}",
-                    )
-                    _expect(
-                        -(2**63) <= value < 2**63,
-                        f"function {name!r} has a value outside int64 at id {key}",
-                    )
+                    if _CANONICAL_ID.fullmatch(key) is None:
+                        raise ParseError(
+                            f"function {name!r} has a non-canonical id {key!r}"
+                        )
+                    if not _is_int(value):
+                        raise ParseError(
+                            f"function {name!r} has a non-integer value at id {key}"
+                        )
+                    if not -(2**63) <= value < 2**63:
+                        raise ParseError(
+                            f"function {name!r} has a value outside int64 at id {key}"
+                        )
                     parsed[int(key)] = value
-                _expect(
-                    set(parsed) == id_set,
-                    f"function {name!r} must assign a value to every element",
-                )
+                if set(parsed) != id_set:
+                    raise ParseError(
+                        f"function {name!r} must assign a value to every element"
+                    )
                 functions[name] = parsed
 
         targets = None
@@ -151,7 +152,8 @@ class PosetDocument:
             for entry in raw["targets"]:
                 _expect(isinstance(entry, dict), "each target must be an object")
                 extra = set(entry) - {"node", "edge", "count"}
-                _expect(not extra, f"unknown target keys: {sorted(extra)}")
+                if extra:
+                    raise ParseError(f"unknown target keys: {sorted(extra)}")
                 count = entry.get("count", 1)
                 _expect(
                     _is_int(count) and count >= 1,
@@ -159,10 +161,8 @@ class PosetDocument:
                 )
                 if "node" in entry:
                     _expect("edge" not in entry, "a target is a node or an edge, not both")
-                    _expect(
-                        _is_int(entry["node"]) and entry["node"] in id_set,
-                        f"target node {entry['node']} unknown",
-                    )
+                    if not (_is_int(entry["node"]) and entry["node"] in id_set):
+                        raise ParseError(f"target node {entry['node']} unknown")
                     parsed_targets.append(("node", entry["node"], count))
                 elif "edge" in entry:
                     edge = entry["edge"]
@@ -172,10 +172,8 @@ class PosetDocument:
                         and all(map(_is_int, edge)),
                         "target edge must be a [lower, upper] id pair",
                     )
-                    _expect(
-                        edge[0] in id_set and edge[1] in id_set,
-                        f"target edge {edge} references unknown ids",
-                    )
+                    if not (edge[0] in id_set and edge[1] in id_set):
+                        raise ParseError(f"target edge {edge} references unknown ids")
                     parsed_targets.append(("edge", (edge[0], edge[1]), count))
                 else:
                     raise ParseError("each target needs a 'node' or an 'edge'")
@@ -197,10 +195,10 @@ class PosetDocument:
             for kind, where, _count in self.targets:
                 if kind == "edge":
                     dense = (self._dense[where[0]], self._dense[where[1]])
-                    _expect(
-                        dense in poset.covers,
-                        f"target edge {list(where)} is not a cover of the poset",
-                    )
+                    if dense not in poset.covers:
+                        raise ParseError(
+                            f"target edge {list(where)} is not a cover of the poset"
+                        )
 
     # ------------------------------------------------------------------
     # conversion

@@ -30,11 +30,15 @@ bounds is the integer identity ``c @ zeta == v``.  Otherwise the same
 recursion runs on Python ints, the only path for answers past 2**53.
 The solves and the zeta and Moebius matrices hand out Python-int object
 arrays at every size.  A 0/1 matrix times an integer vector (a chain
-count step, a transport) is one exact ``_zero_one_product``: in int64
-when the vector's absolute values sum below 2**63, a bound no entry or
-partial sum of the product can pass, and on Python ints otherwise.  The
-counting products of the order walk and the cover matrix run in float32,
-where every entry is a count below 2**24.
+count step, a transport) runs in float64 BLAS when the vector's absolute
+values sum below 2**53, tested on the exact values before any float
+conversion: then every entry and partial sum of the product is the sum
+of some of the vector's entries, an integer float64 holds exactly.
+Otherwise it runs on Python ints.  Transports make one such exact
+``_zero_one_product``; the chain count keeps its vector in float64 while
+the bound holds and turns it into Python ints the first time it fails.
+The counting products of the order walk and the cover matrix run in
+float32, where every entry is a count below 2**24.
 """
 
 from __future__ import annotations
@@ -64,6 +68,41 @@ def _bool_square(a: np.ndarray) -> np.ndarray:
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
 _CHECK_COLUMNS = 64  # columns per product of the residual check
+
+
+def _check_cover(a: int, b: int, n: int) -> tuple[int, int]:
+    """One given pair of ids, or the error that names it."""
+    if not (0 <= a < n and 0 <= b < n):
+        raise ValueError(f"cover ({a}, {b}) references ids outside 0..{n - 1}")
+    if a == b:
+        raise CycleDetected(f"self-loop at element {a}")
+    return a, b
+
+
+def _cover_ends(pairs: list, n: int) -> np.ndarray:
+    """The given pairs as a checked k x 2 int64 array.
+
+    When every pair holds two plain integers (or bools), the ids become
+    one array in one conversion and are checked in one vector pass, the
+    first bad pair in input order raising.  Anything else goes pair by
+    pair through ``operator.index``, in order.
+    """
+    ends = None
+    try:
+        if set(map(len, pairs)) == {2}:
+            flat = np.array([x for pair in pairs for x in pair])
+            if flat.ndim == 1 and flat.dtype.kind in "biu":
+                ends = flat.reshape(-1, 2)
+    except (TypeError, ValueError):  # a pair with no length, or nested ids
+        pass
+    if ends is None:
+        checked = [_check_cover(operator.index(a), operator.index(b), n) for a, b in pairs]
+        return np.array(checked, dtype=np.int64).reshape(-1, 2)
+    bad = ((ends < 0) | (ends >= n)).any(axis=1) | (ends[:, 0] == ends[:, 1])
+    if bad.any():
+        a, b = map(int, ends[bad.argmax()])
+        _check_cover(a, b, n)
+    return ends.astype(np.int64, copy=False)
 
 
 def _levels(rel: np.ndarray, relation: str = "order") -> tuple[np.ndarray, ...]:
@@ -180,13 +219,20 @@ def _zero_one_product(a: np.ndarray, x) -> list[int]:
     """``a @ x`` for a 0/1 matrix ``a`` and a vector ``x`` of Python ints,
     exact, as a list of Python ints.
 
-    Runs in int64 when sum(|x|) < 2**63: every entry of the product, and
-    every partial sum formed on the way, is the sum of a subset of x's
-    entries, so none can wrap.  Otherwise runs on Python ints.
+    Runs in float64 BLAS when sum(|x|) < 2**53: every entry of the
+    product, and every partial sum formed on the way in any order, is
+    the sum of a subset of x's entries, an integer float64 holds
+    exactly.  The bound is tested on the Python ints, before any float
+    conversion.  Otherwise runs on Python ints.
     """
-    if sum(map(abs, x)) < 2**63:
-        a = a.astype(np.int64, copy=False)
-        return (a @ np.array(x, dtype=np.int64)).tolist()
+    if sum(map(abs, x)) < _FLOAT_EXACT:
+        y = a.astype(np.float64) @ np.array(x, dtype=np.float64)
+        return y.astype(np.int64).tolist()
+    return _int_product(a, x)
+
+
+def _int_product(a: np.ndarray, x) -> list[int]:
+    """``a @ x`` on Python ints, exact at any size."""
     return (a.astype(object) @ np.array(x, dtype=object)).tolist()
 
 
@@ -196,23 +242,45 @@ def _chi_by_chains(leq: np.ndarray, weights) -> int:
     with no Moebius function involved.
 
     Entry y of the vector ``r`` sums the weights of the chains of the
-    current length whose top is y; ``below @ r``, with row y of ``below``
-    marking the elements strictly below y, extends each by a step up.
-    ``r`` stays Python ints between steps, so the level sums are exact,
-    and each step is one exact ``_zero_one_product``.  A strict chain
-    has at most n elements, so a vector still non-zero after n steps
-    proves a cycle in a trusted ``leq`` and raises :class:`CycleDetected`.
+    current length whose top is y; ``r @ lt``, with column y of the
+    strict order ``lt`` marking the elements strictly below y, extends
+    each by a step up.  While sum(|r|) < 2**53, ``r`` stays a float64
+    array and each step is one BLAS product: every entry of the step,
+    and every partial sum formed on the way, is the sum of a subset of
+    r's entries, an integer float64 holds exactly, and so is the level
+    sum.  The first time the bound fails, ``r`` (still exact, each entry
+    below 2**53) turns into Python ints, and the steps go on there.  A
+    strict chain has at most n elements, so a vector still non-zero
+    after n steps proves a cycle in a trusted ``leq`` and raises
+    :class:`CycleDetected`.
     """
     n = leq.shape[0]
-    below = (leq & ~np.eye(n, dtype=bool)).T.astype(np.int64, order="C")
     r = [operator.index(w) for w in weights]
-    chi, sign = 0, 1
-    for _ in range(n + 1):
+    chi, sign, steps = 0, 1, n + 1
+    # tested on the Python ints, so a weight past float64's range cannot raise
+    if sum(map(abs, r)) < _FLOAT_EXACT:
+        lt = leq.astype(np.float64)
+        np.fill_diagonal(lt, 0)
+        r = np.array(r, dtype=np.float64)
+        while steps:
+            # exact below 2**53, and at least 2**53 whenever the true sum is
+            size = np.abs(r).sum()
+            if not size:
+                return chi
+            if size >= _FLOAT_EXACT:
+                break
+            chi += sign * int(r.sum())
+            sign = -sign
+            r = r @ lt
+            steps -= 1
+        r = r.astype(np.int64).tolist()
+    below = (leq & ~np.eye(n, dtype=bool)).T
+    for _ in range(steps):
         if not any(r):
             return chi
         chi += sign * sum(r)
         sign = -sign
-        r = _zero_one_product(below, r)
+        r = _int_product(below, r)
     raise CycleDetected("order relation contains a directed cycle")
 
 
@@ -225,7 +293,8 @@ def _cover_matrix(leq: np.ndarray) -> np.ndarray:
 
 
 def _covers_of_leq(leq: np.ndarray) -> frozenset[tuple[int, int]]:
-    return frozenset((int(a), int(b)) for a, b in np.argwhere(_cover_matrix(leq)))
+    rows, cols = np.nonzero(_cover_matrix(leq))
+    return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)
@@ -354,18 +423,9 @@ class Poset:
         and one walk down the levels (``_close``) yields the order and
         the implied pairs.
         """
-        pairs = set()
-        for a, b in covers:
-            a, b = operator.index(a), operator.index(b)
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"cover ({a}, {b}) references ids outside 0..{n - 1}")
-            if a == b:
-                raise CycleDetected(f"self-loop at element {a}")
-            pairs.add((a, b))
-
+        ends = _cover_ends(list(covers), n)
         adj = np.zeros((n, n), dtype=bool)
-        for a, b in pairs:
-            adj[a, b] = True
+        adj[ends[:, 0], ends[:, 1]] = True
         levels = _levels(adj, "cover")
         leq, dropped = _close(adj, levels)
 
@@ -375,7 +435,11 @@ class Poset:
                 raise ValueError("labels must have one entry per element")
         # the covers are the pairs no longer path implies, and the longest
         # paths are chains of covers, so the levels are those of the order
-        p = cls(n, frozenset(pairs.difference(dropped)), leq, labels, tuple(dropped))
+        if dropped:
+            adj[tuple(zip(*dropped))] = False
+        kept = ends[adj[ends[:, 0], ends[:, 1]]]
+        covers = frozenset(zip(kept[:, 0].tolist(), kept[:, 1].tolist()))
+        p = cls(n, covers, leq, labels, tuple(dropped))
         p._lv = levels
         return p
 

@@ -658,11 +658,12 @@ V_SHAPE = Poset.from_covers(3, [(0, 2), (1, 2)])  # two minima under one maximum
 @pytest.mark.parametrize(
     "p, weights",
     [
-        # max |r| fits int64, but the step's entry at the top is 2**63
+        # max |r| fits int64, but the step's entry at the top is 2**63;
+        # all four sum past 2**53, so every step runs on Python ints
         (V_SHAPE, [2**62, 2**62, 0]),
-        # sum |r| = 2**63 - 1: an int64 step whose top entry is 2**63 - 1
+        # sum |r| = 2**63 - 1: a step whose top entry is 2**63 - 1
         (CHAIN3, [2**62, 2**62 - 1, 0]),
-        # sum |r| = 2**63: the step's top entry needs Python ints
+        # sum |r| = 2**63: the step's top entry leaves int64
         (CHAIN3, [2**62, 2**62, 0]),
         (CHAIN3, [-(2**62), -(2**62) - 1, 7]),
     ],
@@ -675,6 +676,58 @@ def test_chain_count_exact_at_the_int64_step_bound(p, weights):
     assert _chi_by_chains(p.leq, weights) == sum(
         w * r for w, r in zip(weights, row_sums)
     )
+
+
+@pytest.mark.parametrize(
+    "p, weights, python_steps",
+    [
+        # max |r| fits, but the step's entry at the top is 2**53
+        (V_SHAPE, [2**52, 2**52, 0], 2),
+        # max |r| fits, and a float step would round the top entry 2**53 + 1
+        (V_SHAPE, [2**52 + 1, 2**52, 1], 2),
+        # sum |r| = 2**53 - 1: one float step, whose top entry is 2**53 - 1,
+        # then the vector sums past the bound and goes on in Python ints
+        (CHAIN3, [2**52, 2**52 - 1, 0], 2),
+        # sum |r| = 2**53: Python ints from the first step
+        (CHAIN3, [2**52, 2**52, 0], 3),
+        (CHAIN3, [-(2**52), -(2**52) - 1, 7], 3),
+        # past float64's range: the bound is tested before any conversion
+        (V_SHAPE, [2**1100, 1, 2], 2),
+    ],
+    ids=[
+        "v-shape", "v-shape-rounding", "chain-below-bound", "chain-at-bound",
+        "chain-negative", "past-float64",
+    ],
+)
+def test_chain_count_exact_at_the_float_step_bound(monkeypatch, p, weights, python_steps):
+    steps = []
+
+    def counted(original):
+        def step(*args):
+            steps.append(1)
+            return original(*args)
+
+        return step
+
+    _wrap(monkeypatch, "_int_product", counted)
+    n = p.n
+    mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
+    row_sums = [sum(mu[(x, y)] for y in range(n)) for x in range(n)]
+    assert _chi_by_chains(p.leq, weights) == sum(
+        w * r for w, r in zip(weights, row_sums)
+    )
+    assert len(steps) == python_steps
+
+
+def test_network_readers_take_the_float_chain_and_mask_steps(monkeypatch):
+    net = random_network([30] * 8, 0.1, 40, 1605)
+    p = net.poset
+    _refuse(monkeypatch, "_int_product")
+    assert integrate_excursion(net.counting) == 40
+    layers = posetzoo.chain(8)
+    f = PosetMap(p, layers, [x // 30 for x in range(p.n)])
+    assert integrate(pushforward(f, net.counting)) == 40
+    assert is_chi_distinguished(PosetMap.identity(p))
 
 
 def test_excursion_agrees_with_mobius_and_naive_levels():

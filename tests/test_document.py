@@ -96,6 +96,66 @@ def test_non_canonical_function_ids_rejected(alias):
         PosetDocument.from_text(text)
 
 
+def _doc(functions=None, targets=None, **keys) -> str:
+    """A three-element chain document, with the given extra parts."""
+    obj = {"elements": [{"id": 0}, {"id": 1}, {"id": 2}], "covers": [[0, 1], [1, 2]]}
+    if functions is not None:
+        obj["functions"] = functions
+    if targets is not None:
+        obj["targets"] = targets
+    return json.dumps({**obj, **keys})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_doc(extra=1, more=2), "unknown document keys: ['extra', 'more']"),
+        (
+            '{"elements": [{"id": 0, "name": "x", "at": 1}], "covers": []}',
+            "unknown element keys: ['at', 'name']",
+        ),
+        (_doc(covers=[[0, 1], [1, 7]]), "cover [1, 7] references unknown ids"),
+        (_doc({"h": [1, 2, 3]}), "function 'h' must be an object"),
+        (
+            _doc({"h": {"0": 1, "01": 2, "2": 3}}),
+            "function 'h' has a non-canonical id '01'",
+        ),
+        (
+            _doc({"h": {"0": 1, "1": 1.5, "2": 3}}),
+            "function 'h' has a non-integer value at id 1",
+        ),
+        (
+            _doc({"h": {"0": 1, "1": 2, "2": 2**63}}),
+            "function 'h' has a value outside int64 at id 2",
+        ),
+        (
+            _doc({"h": {"0": 1, "2": 3}}),
+            "function 'h' must assign a value to every element",
+        ),
+        (_doc(targets=[{"node": 0}, {"spot": 1}]), "unknown target keys: ['spot']"),
+        (_doc(targets=[{"node": 0}, {"node": 5}]), "target node 5 unknown"),
+        (
+            _doc(targets=[{"edge": [0, 1]}, {"edge": [1, 9]}]),
+            "target edge [1, 9] references unknown ids",
+        ),
+        (
+            _doc(targets=[{"edge": [0, 2]}]),
+            "target edge [0, 2] is not a cover of the poset",
+        ),
+    ],
+    ids=[
+        "document-keys", "element-keys", "cover-ids", "function-object",
+        "non-canonical-id", "non-integer-value", "value-outside-int64",
+        "function-domain", "target-keys", "target-node", "target-edge-ids",
+        "target-edge-cover",
+    ],
+)
+def test_parse_error_messages_name_the_first_bad_entry(text, message):
+    with pytest.raises(ParseError) as err:
+        PosetDocument.from_text(text)
+    assert str(err.value) == message
+
+
 def test_negative_function_ids_are_canonical():
     doc = PosetDocument.from_text(
         '{"elements": [{"id": -3}, {"id": 0}], "covers": [[-3, 0]],'

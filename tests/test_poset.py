@@ -70,6 +70,62 @@ def test_cycle_detected_exactly_when_two_elements_reach_each_other():
     assert 50 < raised < 200
 
 
+@pytest.mark.parametrize(
+    "pairs, error, message",
+    [
+        ([(0, 1), (5, 6), (1, 1)], ValueError, "cover (5, 6) references ids outside 0..2"),
+        ([(0, 1), (1, 1), (5, 6)], CycleDetected, "self-loop at element 1"),
+        ([(0, 1), (-1, 2)], ValueError, "cover (-1, 2) references ids outside 0..2"),
+        # out of range is named before a self-loop on the same pair
+        ([(7, 7)], ValueError, "cover (7, 7) references ids outside 0..2"),
+        ([(True, True)], CycleDetected, "self-loop at element 1"),
+        (
+            [(np.uint64(2**64 - 1), 0)],
+            ValueError,
+            "cover (18446744073709551615, 0) references ids outside 0..2",
+        ),
+        ([(0, 2**63)], ValueError, "cover (0, 9223372036854775808) references ids outside 0..2"),
+        # ids are taken in input order: a bad pair before a float is named
+        ([(5, 6), (0, 1.5)], ValueError, "cover (5, 6) references ids outside 0..2"),
+        ([(0, 1.5), (5, 6)], TypeError, "'float' object cannot be interpreted as an integer"),
+        ([("0", 1)], TypeError, "'str' object cannot be interpreted as an integer"),
+        ([(0, 1, 2)], ValueError, "too many values to unpack (expected 2)"),
+    ],
+    ids=[
+        "first-out-of-range", "first-self-loop", "negative", "out-of-range-loop",
+        "bool-loop", "uint64", "past-int64", "range-before-float", "float-first",
+        "string", "triple",
+    ],
+)
+def test_cover_errors_name_the_first_bad_pair(pairs, error, message):
+    with pytest.raises(error) as err:
+        Poset.from_covers(3, pairs)
+    assert str(err.value) == message
+
+
+def test_cover_pairs_of_bools_generators_and_arrays_are_read_once():
+    want = Poset.from_covers(3, [(0, 1), (1, 2), (0, 2)])
+    assert (want.covers, want.dropped_covers) == (frozenset({(0, 1), (1, 2)}), ((0, 2),))
+    read = []
+
+    def pairs():
+        for pair in [(0, 1), (1, 2), (0, 2), (0, 1)]:
+            read.append(pair)
+            yield pair
+
+    for given in (
+        pairs(),
+        [(False, True), (True, 2), (0, 2)],
+        np.array([[0, 1], [1, 2], [0, 2]], dtype=np.uint8),
+        [[0, 1], np.array([1, 2]), (np.int8(0), 2)],
+    ):
+        p = Poset.from_covers(3, given)
+        assert (p.covers, p.dropped_covers) == (want.covers, want.dropped_covers)
+        assert {type(x) for pair in p.covers for x in pair} == {int}
+        assert np.array_equal(p.leq, want.leq)
+    assert len(read) == 4
+
+
 def test_duplicate_covers_ignored():
     p = Poset.from_covers(2, [(0, 1), (0, 1)])
     assert p.covers == frozenset({(0, 1)})

@@ -38,14 +38,26 @@ from .poset import (
 )
 
 
+def _int64_values(values: Iterable[int]) -> np.ndarray:
+    """The given integers as a new int64 array.
+
+    A one-dimensional ndarray of a signed integer dtype converts in one
+    step.  Anything else goes value by value through ``operator.index``
+    before any array is built: a non-integer (a float, a NumPy bool)
+    raises ``TypeError`` and a value outside int64 ``OverflowError``.
+    """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "i":
+        return values.astype(np.int64)
+    return np.array([operator.index(v) for v in values], dtype=np.int64)
+
+
 class PosetFunction:
     """An integer value per element of one poset."""
 
     __slots__ = ("parent", "values")
 
     def __init__(self, parent: Poset, values: Iterable[int]):
-        # OverflowError if too wide, TypeError if not an integer
-        arr = np.array([operator.index(v) for v in values], dtype=np.int64)
+        arr = _int64_values(values)
         if arr.shape != (parent.n,):
             raise ValueError(f"expected {parent.n} values, got {arr.shape}")
         arr.flags.writeable = False
@@ -147,7 +159,7 @@ class PosetMap:
     __slots__ = ("domain", "codomain", "image", "_order_preserving")
 
     def __init__(self, domain: Poset, codomain: Poset, image: Iterable[int]):
-        img = np.array([operator.index(x) for x in image], dtype=np.int64)
+        img = _int64_values(image)
         if img.shape != (domain.n,):
             raise ValueError(f"expected {domain.n} image entries, got {img.shape}")
         if domain.n and ((img < 0) | (img >= codomain.n)).any():

@@ -204,7 +204,7 @@ def cmd_simulate(
     ok = full_estimate == true_count and reduced_estimate == true_count
     results = {
         "nodes": net.poset.n,
-        "cover_edges": len(net.poset.covers),
+        "cover_edges": int(net.poset._hasse().sum()),
         "true_count": true_count,
         "corrupted": {str(k): noise.corrupted[k] for k in sorted(noise.corrupted)},
         "full_estimate": full_estimate,

@@ -195,7 +195,7 @@ class PosetDocument:
             for kind, where, _count in self.targets:
                 if kind == "edge":
                     dense = (self._dense[where[0]], self._dense[where[1]])
-                    if dense not in poset.covers:
+                    if not poset._is_cover(dense):
                         raise ParseError(
                             f"target edge {list(where)} is not a cover of the poset"
                         )

@@ -103,7 +103,7 @@ def counting_function(p: Poset, t: TargetSet) -> PosetFunction:
                 raise ValueError(f"target node {pos.node} does not exist")
             seen_from = pos.node
         else:
-            if pos.edge not in p.covers:
+            if not p._is_cover(pos.edge):
                 raise ValueError(f"target edge {pos.edge} is not a cover of the poset")
             seen_from = pos.edge[1]
         vals += p.leq[seen_from]
@@ -217,8 +217,9 @@ def random_network(
                     covers.append((a, b))
 
     poset = Poset.from_covers(n, covers)
-    # spot k is node k for k < n, else the (k - n)-th cover in sorted order
-    edges = sorted(poset.covers)
+    # spot k is node k for k < n, else the (k - n)-th cover in sorted
+    # order, which is the row-major order of argwhere
+    edges = np.argwhere(poset._hasse())
     positions = []
     for _ in range(target_count):
         k = rng.randrange(n + len(edges))

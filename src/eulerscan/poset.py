@@ -15,12 +15,13 @@ and an alternating count of strict chains, optionally weighted by their
 bottoms (``_chi_by_chains``).  They must agree on every poset, and the
 test suite leans on that redundancy.  Each poset keeps three derived
 facts in frozen cache slots, each filled once when first needed: its
-covers (given by :meth:`Poset.from_covers`, derived from the order for
-subposets and opposites), its antichain levels (which every solve on the
-poset reads, reversed for the opposite order) and its Moebius row sums
-R.  Every reader of R (chi, integrals, chi-points, point classes,
-chi-distinguished maps) shares that vector.  Only :meth:`Poset.mobius`
-builds the full table.
+boolean cover matrix (kept by :meth:`Poset.from_covers`, derived from
+the order for subposets and opposites), which every reader of the
+covers and every cover degree comes from; its antichain levels (which
+every solve on the poset reads, reversed for the opposite order); and
+its Moebius row sums R.  Every reader of R (chi, integrals, chi-points,
+point classes, chi-distinguished maps) shares that vector.  Only
+:meth:`Poset.mobius` builds the full table.
 
 All counting arithmetic is exact.  A solve runs one antichain level at
 a time in float64 BLAS, and its answer is kept only when one exact check
@@ -292,11 +293,6 @@ def _cover_matrix(leq: np.ndarray) -> np.ndarray:
     return lt & ~_bool_square(lt)
 
 
-def _covers_of_leq(leq: np.ndarray) -> frozenset[tuple[int, int]]:
-    rows, cols = np.nonzero(_cover_matrix(leq))
-    return frozenset(zip(rows.tolist(), cols.tolist()))
-
-
 @dataclass(frozen=True)
 class ElementSet:
     """A subset of one poset's elements, tied to that poset by identity."""
@@ -379,13 +375,14 @@ class Poset:
     Instances are immutable after construction and safe to share between
     any number of concurrent readers.  Three facts derived from the order
     are cached, each filled idempotently on first use (racing readers
-    store equal frozen values): the cover pairs, the antichain levels and
-    the Moebius row sums.  Use :meth:`from_covers` to build one; the
-    plain constructor trusts its arguments, and ``covers=None`` leaves
-    the covers to be derived from ``leq`` when first read.
+    store equal frozen values): the boolean cover matrix, the antichain
+    levels and the Moebius row sums.  Use :meth:`from_covers` to build
+    one; the plain constructor trusts its arguments, turns the given
+    cover pairs into the matrix, and with ``covers=None`` leaves the
+    matrix to be derived from ``leq`` when first read.
     """
 
-    __slots__ = ("n", "labels", "leq", "dropped_covers", "_covers", "_lv", "_r")
+    __slots__ = ("n", "labels", "leq", "dropped_covers", "_cov", "_lv", "_r")
 
     def __init__(
         self,
@@ -396,7 +393,12 @@ class Poset:
         dropped_covers: tuple[tuple[int, int], ...] = (),
     ):
         self.n = n
-        self._covers = covers
+        self._cov: np.ndarray | None = None
+        if covers is not None:
+            ends = np.array(list(covers), dtype=np.int64).reshape(-1, 2)
+            cov = np.zeros((n, n), dtype=bool)
+            cov[ends[:, 0], ends[:, 1]] = True
+            self._cov = _freeze(cov)
         self.leq = _freeze(leq)
         self.labels = labels
         self.dropped_covers = dropped_covers
@@ -437,9 +439,8 @@ class Poset:
         # paths are chains of covers, so the levels are those of the order
         if dropped:
             adj[tuple(zip(*dropped))] = False
-        kept = ends[adj[ends[:, 0], ends[:, 1]]]
-        covers = frozenset(zip(kept[:, 0].tolist(), kept[:, 1].tolist()))
-        p = cls(n, covers, leq, labels, tuple(dropped))
+        p = cls(n, None, leq, labels, tuple(dropped))
+        p._cov = _freeze(adj)
         p._lv = levels
         return p
 
@@ -448,15 +449,33 @@ class Poset:
         cls, leq: np.ndarray, labels: tuple[str, ...] | None = None
     ) -> "Poset":
         """Internal: wrap an already-valid order matrix, which the poset
-        then owns; covers and levels are derived when first used."""
+        then owns; the cover matrix and levels are derived when first used."""
         return cls(leq.shape[0], None, leq, labels)
 
     @property
     def covers(self) -> frozenset[tuple[int, int]]:
-        """The Hasse-diagram pairs ``(lower, upper)``."""
-        if self._covers is None:
-            self._covers = _covers_of_leq(self.leq)
-        return self._covers
+        """The Hasse-diagram pairs ``(lower, upper)``: a frozenset view
+        built from the cover matrix on each read."""
+        rows, cols = np.nonzero(self._hasse())
+        return frozenset(zip(rows.tolist(), cols.tolist()))
+
+    def _hasse(self) -> np.ndarray:
+        """The read-only cover matrix: ``cov[x, y]`` iff y covers x, so
+        row x holds the upper covers of x and column x its lower covers.
+        Derived from the order on first use (see ``_cover_matrix``)
+        unless given at construction."""
+        if self._cov is None:
+            self._cov = _freeze(_cover_matrix(self.leq))
+        return self._cov
+
+    def _is_cover(self, pair) -> bool:
+        """True iff ``pair`` is (lower, upper) of a cover; a pair naming
+        an id outside 0..n-1 is none, rather than wrapping."""
+        return (
+            len(pair) == 2
+            and all(0 <= x < self.n for x in pair)
+            and bool(self._hasse()[pair[0], pair[1]])
+        )
 
     def _level_sets(self) -> tuple[np.ndarray, ...]:
         """The elements in antichain levels, level k holding those whose
@@ -496,7 +515,7 @@ class Poset:
         return sorted({self._element(x) for x in s})
 
     def __repr__(self) -> str:
-        return f"Poset(n={self.n}, covers={len(self.covers)})"
+        return f"Poset(n={self.n}, covers={np.count_nonzero(self._hasse())})"
 
     # ------------------------------------------------------------------
     # order primitives
@@ -538,8 +557,8 @@ class Poset:
 
         Returns the subposet (elements renumbered 0..k-1 in ascending
         parent order) and the tuple mapping new ids back to parent ids.
-        Covers are derived from the restricted order when first read, so
-        they may include pairs that were not covers of the parent.
+        The cover matrix is derived from the restricted order when first
+        read, so it may hold pairs that were not covers of the parent.
         """
         members = self._member_list(s)
         sub = self.leq[np.ix_(members, members)]
@@ -608,7 +627,7 @@ class Poset:
 
 
 def _signatures(p: Poset) -> list[tuple]:
-    cov = _cover_matrix(p.leq)
+    cov = p._hasse()
     cov_out = cov.sum(axis=1)
     cov_in = cov.sum(axis=0)
     down = p.leq.sum(axis=0)
@@ -633,7 +652,7 @@ def are_isomorphic(p: Poset, q: Poset, size_limit: int = 12) -> bool:
     uniqueness checks), so sizes above ``size_limit`` raise
     :class:`SizeLimitExceeded` instead of silently taking forever.
     """
-    if p.n != q.n or len(p.covers) != len(q.covers):
+    if p.n != q.n or np.count_nonzero(p._hasse()) != np.count_nonzero(q._hasse()):
         return False
     if p.n > size_limit:
         raise SizeLimitExceeded(

@@ -13,8 +13,9 @@ The reducibility ladder is
 down-beat  =>  weak down-beat (strict up-set contractible)  =>  chi-point
 (strict up-set has Euler characteristic 1).  Removing beat points until
 none remain yields the core, which is unique up to isomorphism; the
-strip keeps one cover matrix current, since removing x keeps every other
-cover and can only add pairs of a lower and an upper cover of x.
+strip starts from a copy of the poset's cover matrix and keeps it
+current, since removing x keeps every other cover and can only add pairs
+of a lower and an upper cover of x.
 Removing chi-points until none remain yields the chi-minimal model, and
 that is simply P minus its chi-points, whatever the order.  With R(x)
 the Moebius row sum of x (one zeta solve; the strict up-set of x has
@@ -85,17 +86,18 @@ def _priority(n: int, tie_break: Sequence[int] | None) -> np.ndarray:
 
 
 def _strip_beat_points(
-    leq: np.ndarray, rank: np.ndarray
+    cov: np.ndarray, leq: np.ndarray, rank: np.ndarray
 ) -> tuple[list[int], list[tuple[int, str]]]:
     """Remove beat points of ``leq`` one at a time until none remain.
 
-    The beat point of least rank goes first, recorded as down-beat in
-    preference to up-beat.  Returns the surviving indices and the
-    (index, reason) removal sequence.  Removing x adds as covers exactly
-    the pairs (w, c) of a lower and an upper cover of x with no survivor
-    strictly between them (a float32 count, exact below 2**24).
+    ``cov`` is a writable copy of the cover matrix of ``leq``, which the
+    strip updates in place.  The beat point of least rank goes first,
+    recorded as down-beat in preference to up-beat.  Returns the
+    surviving indices and the (index, reason) removal sequence.  Removing
+    x adds as covers exactly the pairs (w, c) of a lower and an upper
+    cover of x with no survivor strictly between them (a float32 count,
+    exact below 2**24).
     """
-    cov = _cover_matrix(leq)
     lt = (leq & ~np.eye(leq.shape[0], dtype=bool)).astype(np.float32)
     uppers, lowers = cov.sum(axis=1), cov.sum(axis=0)
     alive = np.ones(leq.shape[0], dtype=bool)
@@ -115,8 +117,10 @@ def _strip_beat_points(
 
 
 def _contractible(leq: np.ndarray) -> bool:
-    n = leq.shape[0]
-    return n > 0 and len(_strip_beat_points(leq, np.arange(n))[0]) == 1
+    """True iff the strip leaves one point of the order ``leq``, such as
+    a strict up-set; the empty order is not contractible."""
+    members, _ = _strip_beat_points(_cover_matrix(leq), leq, np.arange(leq.shape[0]))
+    return len(members) == 1
 
 
 def classify_points(p: Poset) -> PointClass:
@@ -134,7 +138,7 @@ def classify_points(p: Poset) -> PointClass:
     down-set as it stands, since contractibility does not depend on the
     direction of the order.
     """
-    cov = _cover_matrix(p.leq)
+    cov = p._hasse()
     down, up = cov.sum(axis=1) == 1, cov.sum(axis=0) == 1
     is_chi_point = p._row_sums() == 0
     ones = np.ones((1, p.n), dtype=object)
@@ -165,14 +169,16 @@ def core(p: Poset, tie_break: Sequence[int] | None = None) -> ReductionReport:
     element is both).  By Stong's classification the result is unique up
     to isomorphism whatever the order.
     """
-    members, removal = _strip_beat_points(p.leq, _priority(p.n, tie_break))
+    rank = _priority(p.n, tie_break)
+    members, removal = _strip_beat_points(p._hasse().copy(), p.leq, rank)
     result, mapping = p.induced_subposet(members)
     return ReductionReport(p, tuple(removal), result, mapping)
 
 
 def is_contractible(p: Poset) -> bool:
     """True iff the core is a single point; the empty poset is not."""
-    return _contractible(p.leq)
+    members, _ = _strip_beat_points(p._hasse().copy(), p.leq, np.arange(p.n))
+    return len(members) == 1
 
 
 def chi_minimal_model(

@@ -412,3 +412,20 @@ def test_19_cli_simulate_at_n4000():
         assert code == 0 and report["verdict"] == "pass"
         assert report["results"]["nodes"] == 4000
         assert report["results"]["full_estimate"] == 100
+
+
+def test_20_core_and_classification_at_n4000():
+    p = random_network([500] * 8, 0.1, 0, 1).poset
+    assert p.n == 4000
+    # both read the cover matrix the poset kept from its covers
+    with criterion(20, "core and classify_points at n=4000", 1.5):
+        assert len(core(p).removal_sequence) == 0
+        flags = classify_points(p)
+        counts = [
+            len(flags.down_beat),
+            len(flags.up_beat),
+            len(flags.weak_down_beat),
+            len(flags.weak_up_beat),
+            len(flags.chi_point),
+        ]
+        assert counts == [0, 0, 0, 0, 0]

@@ -134,6 +134,29 @@ def test_evaluate_raises_when_the_sum_leaves_int64():
 # ----------------------------------------------------------------------
 
 
+# each builds an int64 array of one value per element of a 2-chain
+VALUE_INTAKES = {
+    "function": lambda v: PosetFunction(posetzoo.chain(2), v).values,
+    "map": lambda v: PosetMap(posetzoo.chain(2), posetzoo.chain(2), v).image,
+}
+
+
+@pytest.mark.parametrize("intake", sorted(VALUE_INTAKES))
+def test_values_are_taken_as_whole_arrays_or_one_by_one(intake):
+    build = VALUE_INTAKES[intake]
+    given = np.array([0, 1], dtype=np.int32)
+    arr = build(given)
+    assert arr.dtype == np.int64 and arr.tolist() == [0, 1]
+    assert given.flags.writeable  # a copy was frozen, not the caller's array
+    assert build([True, False]).tolist() == [1, 0]
+    with pytest.raises(TypeError):
+        build(np.array([True, False]))
+    with pytest.raises(OverflowError):
+        build(np.array([2**63, 0], dtype=np.uint64))
+    with pytest.raises(OverflowError):  # as np.array would make it float64
+        build([-1, 2**63])
+
+
 def test_arithmetic_raises_instead_of_wrapping():
     h = PosetFunction(posetzoo.antichain(2), [2**62, 1])
     with pytest.raises(OverflowError):
@@ -229,7 +252,7 @@ NEGATIVE_ID_SITES = {
 }
 
 
-@pytest.mark.parametrize("value", [-1, -3, 3])
+@pytest.mark.parametrize("value", [-1, -2, -3, 3])
 @pytest.mark.parametrize("site", sorted(NEGATIVE_ID_SITES))
 def test_element_ids_outside_the_poset_raise_instead_of_wrapping(site, value):
     NEGATIVE_ID_SITES[site](1)  # a valid id is accepted

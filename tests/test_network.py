@@ -6,20 +6,26 @@ import pytest
 
 import oracles
 import posetzoo
-from cliharness import run_cli
+from cliharness import DATA, run_cli
 from eulerscan import (
     ImpossibleShape,
     NoiseSpec,
     Poset,
+    PosetDocument,
     SensorNetwork,
     TargetPosition,
     TargetSet,
+    are_isomorphic,
     classify_points,
+    core,
     corrupt,
+    counting_function,
     enumerate_reduced,
     enumerate_targets,
     integrate,
+    is_contractible,
     random_network,
+    reduction,
     sensor_placement_plan,
 )
 from eulerscan import poset as poset_module
@@ -260,7 +266,7 @@ def test_simulate_derives_no_covers_for_the_model_or_the_support(monkeypatch):
     # the chi-minimal model and the reduced support are induced subposets
     # whose covers no step of simulate reads
     derived, subposets = [], []
-    derive = poset_module._covers_of_leq
+    derive = poset_module._cover_matrix
     restrict = Poset.induced_subposet
 
     def counted(leq):
@@ -272,7 +278,7 @@ def test_simulate_derives_no_covers_for_the_model_or_the_support(monkeypatch):
         subposets.append(sub)
         return sub, mapping
 
-    monkeypatch.setattr(poset_module, "_covers_of_leq", counted)
+    monkeypatch.setattr(poset_module, "_cover_matrix", counted)
     monkeypatch.setattr(Poset, "induced_subposet", recorded)
     code, text = run_cli(
         "simulate", "--layers", "6x6x6x6", "--density", "0.3", "--targets", "20",
@@ -280,8 +286,40 @@ def test_simulate_derives_no_covers_for_the_model_or_the_support(monkeypatch):
     )
     assert code == 0 and json.loads(text)["verdict"] == "pass"
     assert len(subposets) == 2  # the model, then the support
-    assert all(sub._covers is None for sub in subposets)
-    assert len(derived) <= 1
+    assert all(sub._cov is None for sub in subposets)
+    assert derived == []  # the network's poset kept the matrix of its covers
+
+
+def test_readers_of_the_covers_share_the_poset_cover_matrix(monkeypatch):
+    derived = []
+    derive = poset_module._cover_matrix
+
+    def counted(leq):
+        derived.append(leq.shape[0])
+        return derive(leq)
+
+    monkeypatch.setattr(poset_module, "_cover_matrix", counted)
+    monkeypatch.setattr(reduction, "_cover_matrix", counted)
+    net = random_network([5, 5, 5, 5], 0.4, 30, 7)
+    p = net.poset
+    assert any(pos.kind == "edge" for pos in net.targets.positions)
+    core(p)
+    classify_points(p)
+    is_contractible(p)
+    assert are_isomorphic(posetzoo.trellis(), posetzoo.trellis())
+    counting_function(p, net.targets)
+    doc = PosetDocument.from_text((DATA / "trellis.json").read_text())
+    assert any(kind == "edge" for kind, _, _ in doc.targets)
+    # classify_points derives the matrix of each strict up- or down-set
+    # it tests for contractibility, never one of a whole poset
+    assert p.n not in derived and 11 not in derived
+
+    del derived[:]
+    sub, _ = p.induced_subposet(range(0, p.n, 2))
+    sub.covers
+    core(sub)
+    classify_points(sub)
+    assert derived.count(sub.n) <= 1
 
 
 def test_generator_zero_targets():

@@ -14,6 +14,7 @@ from eulerscan import (
     random_network,
     reduction,
 )
+from eulerscan import poset as poset_module
 from posetzoo import B2, B3
 
 
@@ -236,7 +237,7 @@ def test_chain_core_matches_recompute_oracle():
 
 
 def test_one_cover_matrix_per_strip(monkeypatch):
-    p = posetzoo.chain(50)
+    # the strip updates one matrix in place and derives none per removal
     sizes = []
     derive = reduction._cover_matrix
 
@@ -244,9 +245,16 @@ def test_one_cover_matrix_per_strip(monkeypatch):
         sizes.append(leq.shape[0])
         return derive(leq)
 
+    monkeypatch.setattr(poset_module, "_cover_matrix", counted)
     monkeypatch.setattr(reduction, "_cover_matrix", counted)
+    p = posetzoo.chain(50)
     assert is_contractible(p)
-    assert sizes == [50]
+    assert sizes == []  # from_covers kept its matrix
+    sub, _ = posetzoo.chain(60).induced_subposet(range(50))
+    assert is_contractible(sub)
+    assert sizes == [50]  # the subposet's slot, filled once
+    assert reduction._contractible(p.leq)
+    assert sizes == [50, 50]  # a raw order matrix, derived once
 
 
 # ----------------------------------------------------------------------

@@ -84,7 +84,7 @@ class PosetFunction:
         )
 
     def __hash__(self):
-        return hash((id(self.parent), self.values.tobytes()))
+        return hash((self.parent.n, self.values.tobytes()))  # what __eq__ compares
 
     def __add__(self, other: "PosetFunction") -> "PosetFunction":
         self._check_same(other)

@@ -15,13 +15,14 @@ and an alternating count of strict chains, optionally weighted by their
 bottoms (``_chi_by_chains``).  They must agree on every poset, and the
 test suite leans on that redundancy.  Each poset keeps three derived
 facts in frozen cache slots, each filled once when first needed: its
-boolean cover matrix (kept by :meth:`Poset.from_covers`, derived from
-the order for subposets and opposites), which every reader of the
-covers and every cover degree comes from; its antichain levels (which
-every solve on the poset reads, reversed for the opposite order); and
-its Moebius row sums R.  Every reader of R (chi, integrals, chi-points,
-point classes, chi-distinguished maps) shares that vector.  Only
-:meth:`Poset.mobius` builds the full table.
+boolean cover matrix (kept by :meth:`Poset.from_covers` and the core,
+derived from the order only for subposets and opposites whose maker
+does not hold it), which every reader of the covers and every cover
+degree comes from; its antichain levels (which every solve on the poset
+reads, reversed for the opposite order); and its Moebius row sums R.
+Every reader of R (chi, integrals, chi-points, point classes,
+chi-distinguished maps) shares that vector.  Only :meth:`Poset.mobius`
+builds the full table.
 
 All counting arithmetic is exact.  A solve runs one antichain level at
 a time in float64 BLAS, and its answer is kept only when one exact check
@@ -338,9 +339,10 @@ class ElementSet:
         return tuple(self.parent.label(x) for x in self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobiusTable:
-    """The integer Moebius matrix of one poset (inverse of its zeta matrix)."""
+    """The integer Moebius matrix of one poset (inverse of its zeta matrix).
+    Compared and hashed by identity, as :class:`Poset` is."""
 
     parent: "Poset"
     mu: np.ndarray
@@ -444,14 +446,6 @@ class Poset:
         p._lv = levels
         return p
 
-    @classmethod
-    def _from_leq(
-        cls, leq: np.ndarray, labels: tuple[str, ...] | None = None
-    ) -> "Poset":
-        """Internal: wrap an already-valid order matrix, which the poset
-        then owns; the cover matrix and levels are derived when first used."""
-        return cls(leq.shape[0], None, leq, labels)
-
     @property
     def covers(self) -> frozenset[tuple[int, int]]:
         """The Hasse-diagram pairs ``(lower, upper)``: a frozenset view
@@ -462,8 +456,9 @@ class Poset:
     def _hasse(self) -> np.ndarray:
         """The read-only cover matrix: ``cov[x, y]`` iff y covers x, so
         row x holds the upper covers of x and column x its lower covers.
-        Derived from the order on first use (see ``_cover_matrix``)
-        unless given at construction."""
+        Derived from the order on first use (``_cover_matrix``, called
+        nowhere else) unless its maker held it: given at construction,
+        kept by ``from_covers``, or handed over by ``core``."""
         if self._cov is None:
             self._cov = _freeze(_cover_matrix(self.leq))
         return self._cov
@@ -565,11 +560,11 @@ class Poset:
         labels = (
             tuple(self.labels[i] for i in members) if self.labels is not None else None
         )
-        return Poset._from_leq(sub, labels), tuple(members)
+        return Poset(len(members), None, sub, labels), tuple(members)
 
     def opposite(self) -> "Poset":
         """The same elements with all order relations reversed."""
-        return Poset._from_leq(self.leq.T.copy(), self.labels)
+        return Poset(self.n, None, self.leq.T.copy(), self.labels)
 
     def order_identical(self, other: "Poset") -> bool:
         return self.n == other.n and np.array_equal(self.leq, other.leq)

@@ -15,7 +15,10 @@ down-beat  =>  weak down-beat (strict up-set contractible)  =>  chi-point
 none remain yields the core, which is unique up to isomorphism; the
 strip starts from a copy of the poset's cover matrix and keeps it
 current, since removing x keeps every other cover and can only add pairs
-of a lower and an upper cover of x.
+of a lower and an upper cover of x; it ends holding the survivors'
+covers and hands them to the core.  A strict up- or down-set is convex,
+so its covers are the poset's restricted to it, and its contractibility
+test starts from that slice.
 Removing chi-points until none remain yields the chi-minimal model, and
 that is simply P minus its chi-points, whatever the order.  With R(x)
 the Moebius row sum of x (one zeta solve; the strict up-set of x has
@@ -34,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .poset import Poset, _cover_matrix, _mobius_solve
+from .poset import Poset, _freeze, _mobius_solve
 
 DOWN_BEAT = "down_beat"
 UP_BEAT = "up_beat"
@@ -116,10 +119,10 @@ def _strip_beat_points(
         lowers[c] += new.sum(axis=0) - 1
 
 
-def _contractible(leq: np.ndarray) -> bool:
-    """True iff the strip leaves one point of the order ``leq``, such as
-    a strict up-set; the empty order is not contractible."""
-    members, _ = _strip_beat_points(_cover_matrix(leq), leq, np.arange(leq.shape[0]))
+def _contractible(cov: np.ndarray, leq: np.ndarray) -> bool:
+    """True iff the strip leaves one point of the order ``leq``, from a
+    writable copy ``cov`` of its covers; the empty order is not one."""
+    members, _ = _strip_beat_points(cov, leq, np.arange(leq.shape[0]))
     return len(members) == 1
 
 
@@ -134,9 +137,9 @@ def classify_points(p: Poset) -> PointClass:
     down-beat points are the down-beat points plus the other chi-points
     whose strict up-set passes the contractibility test, and weak up-beat
     is the dual, with the Moebius column sums (one more solve) in place
-    of R.  The test runs on the order matrix of the strict up-set or
-    down-set as it stands, since contractibility does not depend on the
-    direction of the order.
+    of R.  The test runs on the strict up-set or down-set as it stands,
+    its covers sliced from the poset's, since contractibility does not
+    depend on the direction of the order.
     """
     cov = p._hasse()
     down, up = cov.sum(axis=1) == 1, cov.sum(axis=0) == 1
@@ -148,7 +151,8 @@ def classify_points(p: Poset) -> PointClass:
     def weak(beat, chi_point, side) -> frozenset[int]:
         # row x of ``side`` masks the strict up-set (or down-set) of x
         tested = np.flatnonzero(chi_point & ~beat).tolist()
-        passed = [x for x in tested if _contractible(p.leq[np.ix_(side[x], side[x])])]
+        cuts = (np.ix_(side[x], side[x]) for x in tested)
+        passed = [x for x, m in zip(tested, cuts) if _contractible(cov[m], p.leq[m])]
         return frozenset(np.flatnonzero(beat).tolist() + passed)
 
     return PointClass(
@@ -170,15 +174,16 @@ def core(p: Poset, tie_break: Sequence[int] | None = None) -> ReductionReport:
     to isomorphism whatever the order.
     """
     rank = _priority(p.n, tie_break)
-    members, removal = _strip_beat_points(p._hasse().copy(), p.leq, rank)
+    cov = p._hasse().copy()
+    members, removal = _strip_beat_points(cov, p.leq, rank)
     result, mapping = p.induced_subposet(members)
+    result._cov = _freeze(cov[np.ix_(members, members)])
     return ReductionReport(p, tuple(removal), result, mapping)
 
 
 def is_contractible(p: Poset) -> bool:
     """True iff the core is a single point; the empty poset is not."""
-    members, _ = _strip_beat_points(p._hasse().copy(), p.leq, np.arange(p.n))
-    return len(members) == 1
+    return _contractible(p._hasse().copy(), p.leq)
 
 
 def chi_minimal_model(

@@ -309,6 +309,14 @@ def test_every_public_id_parameter_is_a_listed_site():
             assert key in INTEGER_SITES or key in NEGATIVE_ID_SITES, (qualname, key)
 
 
+def test_equal_functions_hash_equal():
+    # equality compares the orders, not the posets' identity; so does the hash
+    a = PosetFunction(Poset.from_covers(3, [(0, 1), (1, 2)]), [1, 2, 3])
+    b = PosetFunction(Poset.from_covers(3, [(0, 1), (1, 2)]), [1, 2, 3])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert len({a, b.with_value(0, 0)}) == 2
+
+
 def test_valid_ids_read_the_element_they_name():
     assert PosetFunction(CHAIN3, [5, 6, 7])[2] == 7
     assert PosetFunction(CHAIN3, [5, 6, 7]).with_value(2, 9).values.tolist() == [5, 6, 9]

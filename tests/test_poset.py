@@ -276,6 +276,14 @@ def test_mobius_diamond_top():
     assert posetzoo.diamond().mobius()[0, 3] == 1  # -(1 - 1 - 1)
 
 
+def test_mobius_tables_compare_by_identity():
+    # each call builds a new table; ndarray fields cannot be compared as one
+    p = posetzoo.diamond()
+    table = p.mobius()
+    assert table == table and table != p.mobius()
+    assert len({table, table, p.mobius()}) == 2
+
+
 def test_chi_antichain():
     assert posetzoo.antichain(3).euler_characteristic() == 3
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -239,22 +240,55 @@ def test_chain_core_matches_recompute_oracle():
 def test_one_cover_matrix_per_strip(monkeypatch):
     # the strip updates one matrix in place and derives none per removal
     sizes = []
-    derive = reduction._cover_matrix
+    derive = poset_module._cover_matrix
 
     def counted(leq):
         sizes.append(leq.shape[0])
         return derive(leq)
 
     monkeypatch.setattr(poset_module, "_cover_matrix", counted)
-    monkeypatch.setattr(reduction, "_cover_matrix", counted)
     p = posetzoo.chain(50)
     assert is_contractible(p)
     assert sizes == []  # from_covers kept its matrix
     sub, _ = posetzoo.chain(60).induced_subposet(range(50))
     assert is_contractible(sub)
     assert sizes == [50]  # the subposet's slot, filled once
-    assert reduction._contractible(p.leq)
-    assert sizes == [50, 50]  # a raw order matrix, derived once
+    assert reduction._contractible(sub._hasse().copy(), sub.leq)
+    assert core(sub).result.n == 1
+    assert sizes == [50]  # later strips read the held matrix
+
+
+def test_covers_are_derived_only_where_no_maker_holds_them(monkeypatch):
+    derive = poset_module._cover_matrix
+    calls = []
+
+    def counted(leq):
+        calls.append(leq.shape[0])
+        return derive(leq)
+
+    monkeypatch.setattr(poset_module, "_cover_matrix", counted)
+    # strict up- and down-sets are convex: their covers are slices
+    for p in (posetzoo.trellis(), posetzoo.coned_circle_plus_point()):
+        flags = classify_points(p)
+        assert flags.chi_point - flags.beat_points()  # some sets were tested
+        core(p).result.covers  # reads the strip's matrix, handed over
+    assert calls == []
+
+    zoo = [
+        posetzoo.trellis(), posetzoo.circle_plus_point(),
+        posetzoo.coned_circle_plus_point(), posetzoo.chain(5),
+        posetzoo.antichain(0), posetzoo.antichain(3), posetzoo.diamond(),
+        posetzoo.vee(), posetzoo.four_cycle(),
+    ]
+    networks = [random_network([6] * 5, 0.3, 0, seed).poset for seed in range(8)]
+    networks.append(random_network([25] * 8, 0.05, 0, 1).poset)
+    for p in zoo + networks:
+        for order in (None, list(reversed(range(p.n)))):
+            result = core(p, order).result
+            held = result._hasse()
+            assert not held.flags.writeable
+            assert np.array_equal(held, derive(result.leq))  # outside the count
+    assert calls == []
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,9 @@ from Moebius inversion over prime filters, which works for arbitrary
 integer functions (corrupted sensor readings included); the integral is
 h . R, with R the Moebius row sums.  R and the Moebius coefficients
 h @ mu come from the poset's level solve, certified float64 or Python
-ints (see ``eulerscan.poset``), and the transports sum them over 0/1
-masks with the same exact product as the chain count.  Monotone
+ints (see ``eulerscan.poset``), and the transports sum them onto the
+images and then over prime ideals or filters, one exact product with
+the codomain's held operator.  Monotone
 non-negative functions also admit the excursion-set decomposition, kept
 as an independent, mu-free cross-check route: one weighted chain count,
 exact, whose steps run in float64 BLAS while the chain weights in play
@@ -34,7 +35,7 @@ from .poset import (
     Poset,
     _chi_by_chains,
     _mobius_solve,
-    _zero_one_product,
+    _order_sums,
 )
 
 
@@ -196,7 +197,7 @@ class PosetMap:
 
     def is_order_preserving(self) -> bool:
         if self._order_preserving is None:
-            image_leq = self.codomain.leq[np.ix_(self.image, self.image)]
+            image_leq = self.codomain.leq.take(self.image, 0).take(self.image, 1)
             self._order_preserving = bool((self.domain.leq <= image_leq).all())
         return self._order_preserving
 
@@ -216,7 +217,7 @@ def indicator(p: Poset, s: "ElementSet | Iterable[int]") -> PosetFunction:
 def _coefficients(h: PosetFunction) -> np.ndarray:
     """``h @ mu`` as Python ints: the Moebius coefficient of every element."""
     p = h.parent
-    return _mobius_solve(p.leq, h.values[None, :], p._level_sets())[0]
+    return _mobius_solve(p._operator(), h.values[None, :])[0]
 
 
 def mobius_coefficients(h: PosetFunction) -> FilterLinearForm:
@@ -258,7 +259,7 @@ def integrate_excursion(h: PosetFunction) -> int:
         raise NotMonotone("excursion route requires a monotone function")
     if not h.is_nonnegative():
         raise NegativeValues("excursion route requires non-negative values")
-    return _chi_by_chains(h.parent.leq, h.values.tolist())
+    return _chi_by_chains(h.parent._operator(), h.values.tolist())
 
 
 def pushforward(f: PosetMap, h: PosetFunction) -> PosetFunction:
@@ -270,12 +271,13 @@ def pushforward(f: PosetMap, h: PosetFunction) -> PosetFunction:
     f._require_order_preserving()
     if h.parent is not f.domain:
         raise ValueError("function does not live on the map's domain")
-    # Row x masks the preimage S of the prime ideal of x, an ideal of the
-    # domain.  mu of S is the restriction of mu, and every a <= b in S lies
-    # in S, so the integral of h over S is the sum of h's Moebius
-    # coefficients (h @ mu)[b] over b in S.
-    inside = f.codomain.leq.T[:, f.image]
-    return PosetFunction(f.codomain, _zero_one_product(inside, _coefficients(h)))
+    # The preimage S of the prime ideal of x is an ideal of the domain.  mu
+    # of S is the restriction of mu, and every a <= b in S lies in S, so
+    # the integral of h over S is the sum of h's Moebius coefficients
+    # (h @ mu)[b] over b in S: the coefficients summed onto their images,
+    # then over the prime ideal of x.
+    sums = _order_sums(f.codomain._operator(), _coefficients(h), f.image)
+    return PosetFunction(f.codomain, sums)
 
 
 def pullback(f: PosetMap, h: PosetFunction) -> PosetFunction:
@@ -291,12 +293,12 @@ def is_chi_distinguished(f: PosetMap) -> bool:
     Such maps transport integrals along the pullback without loss.
     """
     f._require_order_preserving()
-    # Row x masks the preimage F of the prime filter of x, a filter of the
-    # domain.  mu of F is the restriction of mu, and every b >= a in F lies
-    # in F, so chi(F) is the sum of the Moebius row sums over F (0 when F
-    # is empty).
-    inside = f.codomain.leq[:, f.image]
-    return all(chi == 1 for chi in _zero_one_product(inside, f.domain._row_sums()))
+    # The preimage F of the prime filter of x is a filter of the domain.
+    # mu of F is the restriction of mu, and every b >= a in F lies in F, so
+    # chi(F) is the sum of the Moebius row sums over F (0 when F is empty):
+    # the row sums summed onto their images, then over the prime filter.
+    op = f.codomain._operator().opposite()
+    return bool((_order_sums(op, f.domain._row_sums(), f.image) == 1).all())
 
 
 def is_ascending_closure_operator(r: PosetMap) -> bool:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import PosetFunction, integrate, integrate_excursion
 from .errors import ImpossibleShape
-from .poset import ElementSet, Poset
+from .poset import ElementSet, Poset, _order_sums
 from .reduction import ReductionReport, chi_minimal_model
 
 
@@ -95,19 +95,26 @@ class SensorNetwork:
 
 def counting_function(p: Poset, t: TargetSet) -> PosetFunction:
     """Sensor readings: h(y) counts node targets at a <= y plus edge
-    targets (a, b) with b <= y (the whole edge below the sensor)."""
-    vals = np.zeros(p.n, dtype=np.int64)
+    targets (a, b) with b <= y (the whole edge below the sensor).
+
+    The targets are counted onto the node each is first seen from and
+    carried up the order in one exact product with the poset's operator.
+    The first target in ``t``'s order that names no node or no cover
+    raises ``ValueError``.
+    """
+    if not t.positions:
+        return PosetFunction(p, np.zeros(p.n, dtype=np.int64))
+    seen_from = []
     for pos in t.positions:
         if pos.kind == "node":
             if not 0 <= pos.node < p.n:
                 raise ValueError(f"target node {pos.node} does not exist")
-            seen_from = pos.node
+            seen_from.append(pos.node)
         else:
             if not p._is_cover(pos.edge):
                 raise ValueError(f"target edge {pos.edge} is not a cover of the poset")
-            seen_from = pos.edge[1]
-        vals += p.leq[seen_from]
-    return PosetFunction(p, vals)
+            seen_from.append(pos.edge[1])
+    return PosetFunction(p, _order_sums(p._operator(), [1] * len(seen_from), seen_from))
 
 
 def enumerate_targets(net: SensorNetwork) -> int:
@@ -160,7 +167,8 @@ def enumerate_reduced(
     if h.parent is not net.poset:
         raise ValueError("readings live on a different poset")
     model = chi_minimal_model(net.poset, tie_break)
-    support_ids = tuple(x for x in model.mapping if h[x] >= 1)
+    ids = np.array(model.mapping, dtype=np.int64)
+    support_ids = tuple(ids[h.values[ids] >= 1].tolist())
     support, mapping = net.poset.induced_subposet(support_ids)
     restricted = PosetFunction(support, h.values[list(mapping)])
     count = integrate_excursion(restricted)

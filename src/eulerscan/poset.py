@@ -13,38 +13,50 @@ over a start vector: a solve against the zeta matrix (``_mobius_solve``
 gives ``v @ mu`` for any rows v; chi is the sum of the Moebius row sums),
 and an alternating count of strict chains, optionally weighted by their
 bottoms (``_chi_by_chains``).  They must agree on every poset, and the
-test suite leans on that redundancy.  Each poset keeps three derived
+test suite leans on that redundancy.  Each poset keeps four derived
 facts in frozen cache slots, each filled once when first needed: its
 boolean cover matrix (kept by :meth:`Poset.from_covers` and the core,
 derived from the order only for subposets and opposites whose maker
 does not hold it), which every reader of the covers and every cover
-degree comes from; its antichain levels (which every solve on the poset
-reads, reversed for the opposite order); and its Moebius row sums R.
-Every reader of R (chi, integrals, chi-points, point classes,
-chi-distinguished maps) shares that vector.  Only :meth:`Poset.mobius`
-builds the full table.
+degree comes from; its antichain levels; its strict order as a float64
+operator in level order; and its Moebius row sums R.  Every reader of R
+(chi, integrals, chi-points, point classes, chi-distinguished maps)
+shares that vector.  Only :meth:`Poset.mobius` builds the full table.
 
-All counting arithmetic is exact.  A solve runs one antichain level at
-a time in float64 BLAS, and its answer is kept only when one exact check
-of the result certifies it: |v| < 2**53, sum(|c|) < 2**53 along each row
-of the answer c, and ``c + c @ lt == v`` in float64, which under those
-bounds is the integer identity ``c @ zeta == v``.  Otherwise the same
-recursion runs on Python ints, the only path for answers past 2**53.
-The solves and the zeta and Moebius matrices hand out Python-int object
-arrays at every size.  A 0/1 matrix times an integer vector (a chain
-count step, a transport) runs in float64 BLAS when the vector's absolute
-values sum below 2**53, tested on the exact values before any float
-conversion: then every entry and partial sum of the product is the sum
-of some of the vector's entries, an integer float64 holds exactly.
-Otherwise it runs on Python ints.  Transports make one such exact
-``_zero_one_product``; the chain count keeps its vector in float64 while
-the bound holds and turns it into Python ints the first time it fails.
-The counting products of the order walk and the cover matrix run in
-float32, where every entry is a count below 2**24.
+The operator (:class:`_Operator`) is the strict order with its rows and
+columns permuted into level order, the levels concatenated, as one
+C-contiguous float64 array, 8n**2 bytes.  Every element strictly below
+a level lies in an earlier one, so the matrix is strictly upper
+block-triangular, and each level of a solve, each chain step and each
+transport is one BLAS product on contiguous slices; the opposite order
+reads the same matrix transposed, from the top level down.  Ids stay
+public: vectors are permuted into level order on the way in and back
+on the way out.  The levels are the antichain levels of the order, or,
+for a subposet of a poset that holds its levels or operator, the
+parent's levels cut to the members, which need no Kahn pass.
+
+All counting arithmetic is exact.  A solve runs one level at a time in
+float64 BLAS, and its answer is kept only when one exact check of the
+result certifies it: |v| < 2**53, sum(|c|) < 2**53 along each row of
+the answer c, and ``c + c @ lt == v`` in float64, a product of its own,
+which under those bounds is the integer identity ``c @ zeta == v``.
+Otherwise the same recursion runs on Python ints, the only path for
+answers past 2**53.  The solves and the zeta and Moebius matrices hand
+out Python-int object arrays at every size.  A 0/1 matrix times an
+integer vector (a chain count step, a transport) runs in float64 BLAS
+when the vector's absolute values sum below 2**53, tested on the exact
+values before any float conversion: then every entry and partial sum of
+the product is the sum of some of the vector's entries, an integer
+float64 holds exactly.  Otherwise it runs on Python ints.  Transports
+make one such exact ``_order_sums``; the chain count keeps its vector in
+float64 while the bound holds and turns it into Python ints the first
+time it fails.  The counting products of the order walk and the cover
+matrix run in float32, where every entry is a count below 2**24.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -153,55 +165,153 @@ def _close(adj: np.ndarray, levels) -> tuple[np.ndarray, list[tuple[int, int]]]:
     return reach > 0, sorted(implied)
 
 
-def _mobius_solve(leq: np.ndarray, v: np.ndarray, levels) -> np.ndarray:
-    """``v @ mu`` for each row of ``v``, with mu the Moebius matrix of
-    ``leq``, as Python ints.
+@dataclass(frozen=True, eq=False)
+class _Operator:
+    """The strict order of one poset in level order, as a float64 operator.
 
-    Solves ``c @ zeta = v``: c[:, y] = v[:, y] - sum(c[:, z] for z < y),
-    one antichain level of ``levels`` at a time, where every element
-    strictly below a level lies in an earlier one (``_levels`` of the
-    strict order, or those of the opposite order reversed).  On the
-    identity this is the recursion mu(x, y) = -sum(mu(x, z) for x <= z <
-    y) that defines the table.  The levels are solved in float64 BLAS and
-    the answer kept only when certified exact (``_solve_in_float``); else
-    the same recursion runs again on Python ints.
+    ``perm`` lists the element ids level by level, level k taking the
+    positions ``bounds[k]:bounds[k + 1]``, and ``lt[i, j]`` is 1.0 iff
+    ``perm[i] < perm[j]``.  A level is an antichain with every element
+    strictly below it in earlier levels, so ``lt`` is strictly upper
+    block-triangular: the columns of level k have entries only in the
+    rows before ``bounds[k]``, and every solve, chain step and transport
+    reads contiguous slices of one C-contiguous array.  Vectors go in
+    with :meth:`to_levels` and come out with :meth:`to_ids`.  ``lt`` is
+    None while only the level order is known (see ``Poset._operator``).
+    With ``dual`` set it stands for the opposite order: the same matrix,
+    read transposed and from the top level down (see :meth:`opposite`).
     """
-    lt = leq & ~np.eye(leq.shape[0], dtype=bool)
-    c = _solve_in_float(lt, levels, v)
-    return c if c is not None else _solve_exact(lt, levels, v)
+
+    perm: np.ndarray
+    bounds: tuple[int, ...]
+    lt: np.ndarray | None = None
+    dual: bool = False
+
+    @classmethod
+    def of_levels(cls, levels) -> "_Operator":
+        """The level order of ``levels``, each an array of ids."""
+        perm = np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
+        return cls(_freeze(perm), (0, *itertools.accumulate(map(len, levels))))
+
+    def built(self, leq: np.ndarray) -> "_Operator":
+        """This level order with its matrix, taken from the order matrix
+        ``leq`` (reflexive or strict): the one place the order turns
+        into float64."""
+        lt = leq.take(self.perm, 0).take(self.perm, 1).astype(np.float64)
+        np.fill_diagonal(lt, 0)
+        return _Operator(self.perm, self.bounds, _freeze(lt))
+
+    def restricted(self, members: np.ndarray) -> "_Operator":
+        """The level order of the subposet on the distinct ids
+        ``members``, whose element i is members[i]: each level cut to the
+        members, empty ones dropped.  A cut level is still an antichain
+        with everything below it in earlier ones, so no Kahn pass is
+        needed, and no matrix is built until the subposet is read."""
+        sub = np.full(len(self.perm), -1)
+        sub[members] = np.arange(len(members))
+        sub = sub[self.perm]  # the subposet's id at each position, or -1
+        kept = sub >= 0
+        last = np.array(self.bounds[1:], dtype=np.intp) - 1  # each level's last position
+        cuts = [0, *np.cumsum(kept)[last].tolist()]
+        return _Operator(_freeze(sub[kept]), tuple(dict.fromkeys(cuts)))
+
+    def opposite(self) -> "_Operator":
+        """The operator of the opposite order, sharing this matrix."""
+        return _Operator(self.perm, self.bounds, self.lt, not self.dual)
+
+    def blocks(self):
+        """The (start, stop) positions of each level, bottom first."""
+        return list(zip(self.bounds, self.bounds[1:]))
+
+    def to_levels(self, v: np.ndarray) -> np.ndarray:
+        """``v`` with its last axis moved from ids to level order."""
+        return v[..., self.perm]
+
+    def to_ids(self, c: np.ndarray) -> np.ndarray:
+        """``c`` with its last axis moved from level order back to ids."""
+        out = np.empty_like(c)
+        out[..., self.perm] = c
+        return out
 
 
-def _solve_in_float(lt, levels, v) -> np.ndarray | None:
-    """The level solve in float64, or None when its result is not
-    certified exact.
+def _as_operator(order, levels=None) -> _Operator:
+    """``order`` when it is an operator; else the operator of the order
+    matrix ``order`` (reflexive or strict) in ``levels``, which a Kahn
+    pass finds when they are not given."""
+    if isinstance(order, _Operator):
+        return order
+    if levels is None:
+        levels = _levels(order & ~np.eye(order.shape[0], dtype=bool))
+    return _Operator.of_levels(levels).built(order)
+
+
+def _mobius_solve(order, v: np.ndarray, levels=None) -> np.ndarray:
+    """``v @ mu`` for each row of ``v``, with mu the Moebius matrix of
+    ``order``, as Python ints.
+
+    ``order`` is a poset's operator (``Poset._operator``) or its
+    opposite, or an order matrix with its ``levels`` (see
+    ``_as_operator``).  Solves ``c @ zeta = v``: c[:, y] = v[:, y] -
+    sum(c[:, z] for z < y), one level at a time (from the top down on an
+    opposite operator), where every element strictly below a level lies
+    in an earlier one.  On the identity this is the recursion mu(x, y) =
+    -sum(mu(x, z) for x <= z < y) that defines the table.  The levels
+    are solved in float64 BLAS and the answer kept only when certified
+    exact (``_solve_in_float``); else the same recursion runs again on
+    Python ints.
+    """
+    op = _as_operator(order, levels)
+    c = _solve_in_float(op, None, v)
+    if c is not None:
+        return c
+    lt = op.lt > 0
+    levels = [np.arange(s, e) for s, e in op.blocks()]
+    if op.dual:
+        lt, levels = lt.T, levels[::-1]
+    return op.to_ids(_solve_exact(lt, levels, op.to_levels(np.asarray(v))))
+
+
+def _solve_in_float(order, levels, v) -> np.ndarray | None:
+    """The level solve of ``_mobius_solve`` in float64, or None when its
+    result is not certified exact.
 
     The certificate checks the result, not the arithmetic that found
     it: |v| < 2**53, sum(|c|) < 2**53 along every row of c, and
-    ``c + c @ lt == v`` in float64.  Under the bound each entry of
-    ``c @ lt``, and each partial sum formed on the way in any order, is
-    the sum of some entries of one row of c, an integer below 2**53,
-    so the float equality is the exact one, ``c @ zeta == v``; zeta is
-    unitriangular, so c is ``v @ mu``.
+    ``c + c @ lt == v`` in float64, taken as its own product.  Under the
+    bound each entry of ``c @ lt``, and each partial sum formed on the
+    way in any order, is the sum of some entries of one row of c, an
+    integer below 2**53, so the float equality is the exact one,
+    ``c @ zeta == v``; zeta is unitriangular, so c is ``v @ mu``.
     """
+    op = _as_operator(order, levels)
     v = np.asarray(v)
     # bounded from both sides, since np.abs of int64's minimum is negative;
     # this also keeps Python ints past float64's range out of astype
     if not ((v > -_FLOAT_EXACT) & (v < _FLOAT_EXACT)).all():
         return None
+    v = op.to_levels(v)
+    lt = op.lt
     c = v.astype(np.float64)
-    for level in levels:
-        c[:, level] -= c @ lt[:, level].astype(np.float64)
-    # a few columns at a time, to keep the temporaries small
+    dual = op.dual
+    if dual:  # c[:, y] takes the elements above y, in later levels
+        for s, e in reversed(op.blocks()):
+            c[:, s:e] -= c[:, e:] @ lt[s:e, e:].T
+    else:
+        for s, e in op.blocks():
+            c[:, s:e] -= c[:, :s] @ lt[:s, s:e]
+    # a few columns at a time, to keep the temporaries small; lt is
+    # strictly upper triangular, so only one side of each block is read
     total = np.zeros(c.shape[0])
     for j in range(0, c.shape[1], _CHECK_COLUMNS):
-        cols = slice(j, j + _CHECK_COLUMNS)
-        block = c[:, cols]
+        k = j + _CHECK_COLUMNS
+        block = c[:, j:k]
         total += np.abs(block).sum(axis=1)
-        if not np.array_equal(block + c @ lt[:, cols].astype(np.float64), v[:, cols]):
+        step = c[:, j:] @ lt[j:k, j:].T if dual else c[:, :k] @ lt[:k, j:k]
+        if not np.array_equal(block + step, v[:, j:k]):
             return None
     if not (total < _FLOAT_EXACT).all():  # also false on inf and nan
         return None
-    exact = c.astype(np.int64)
+    exact = op.to_ids(c.astype(np.int64))
     del c  # one float copy fewer alive beside the object array
     return exact.astype(object)
 
@@ -217,20 +327,31 @@ def _solve_exact(lt, levels, v) -> np.ndarray:
     return c
 
 
-def _zero_one_product(a: np.ndarray, x) -> list[int]:
-    """``a @ x`` for a 0/1 matrix ``a`` and a vector ``x`` of Python ints,
-    exact, as a list of Python ints.
+def _order_sums(op: _Operator, x, at) -> np.ndarray:
+    """Entry y sums the integers x[b] over the b with ``at[b] <= y`` in
+    the order of the operator ``op`` (or its opposite), exact: x placed
+    on the elements ``at`` and carried up the order.
 
-    Runs in float64 BLAS when sum(|x|) < 2**53: every entry of the
+    Runs in float64 BLAS when sum(|x|) < 2**53, tested on the Python ints
+    before any float conversion: every entry of the placement and of the
     product, and every partial sum formed on the way in any order, is
-    the sum of a subset of x's entries, an integer float64 holds
-    exactly.  The bound is tested on the Python ints, before any float
-    conversion.  Otherwise runs on Python ints.
+    the sum of a subset of x's entries, an integer float64 holds exactly.
+    The answer is then int64; otherwise it is found on Python ints and
+    handed out as an object array.
     """
+    x = x.tolist() if isinstance(x, np.ndarray) else list(x)
+    n = len(op.perm)
+    at = np.asarray(at)
     if sum(map(abs, x)) < _FLOAT_EXACT:
-        y = a.astype(np.float64) @ np.array(x, dtype=np.float64)
-        return y.astype(np.int64).tolist()
-    return _int_product(a, x)
+        w = op.to_levels(np.bincount(at, np.array(x, dtype=np.float64), n))
+        y = w + (op.lt @ w if op.dual else w @ op.lt)
+        return op.to_ids(y.astype(np.int64))
+    w = np.zeros(n, dtype=object)
+    for b, value in zip(at.tolist(), x):
+        w[b] += value
+    w = op.to_levels(w)
+    lt = op.lt > 0
+    return op.to_ids(w + np.array(_int_product(lt if op.dual else lt.T, w), dtype=object))
 
 
 def _int_product(a: np.ndarray, x) -> list[int]:
@@ -238,33 +359,35 @@ def _int_product(a: np.ndarray, x) -> list[int]:
     return (a.astype(object) @ np.array(x, dtype=object)).tolist()
 
 
-def _chi_by_chains(leq: np.ndarray, weights) -> int:
+def _chi_by_chains(order, weights) -> int:
     """The sum over strict chains x0 < ... < xk of (-1)**k * weights[x0].
     With unit weights it is the Euler characteristic (P. Hall's theorem),
-    with no Moebius function involved.
+    with no Moebius function involved.  ``order`` is a poset's operator,
+    not its opposite, or an order matrix, as for ``_mobius_solve``.
 
     Entry y of the vector ``r`` sums the weights of the chains of the
     current length whose top is y; ``r @ lt``, with column y of the
     strict order ``lt`` marking the elements strictly below y, extends
-    each by a step up.  While sum(|r|) < 2**53, ``r`` stays a float64
-    array and each step is one BLAS product: every entry of the step,
-    and every partial sum formed on the way, is the sum of a subset of
-    r's entries, an integer float64 holds exactly, and so is the level
-    sum.  The first time the bound fails, ``r`` (still exact, each entry
-    below 2**53) turns into Python ints, and the steps go on there.  A
-    strict chain has at most n elements, so a vector still non-zero
-    after n steps proves a cycle in a trusted ``leq`` and raises
-    :class:`CycleDetected`.
+    each by a step up.  A chain of k + 1 elements tops out at level k or
+    above, so step k reads only the rows of ``lt`` from level k - 1 up
+    and its columns from level k up, and r shrinks as the chains climb;
+    after the last level it is empty.  While sum(|r|) < 2**53, ``r``
+    stays a float64 array and each step is one BLAS product: every entry
+    of the step, and every partial sum formed on the way, is the sum of
+    a subset of r's entries, an integer float64 holds exactly, and so is
+    the level sum.  The first time the bound fails, ``r`` (still exact,
+    each entry below 2**53) turns into Python ints, and the steps go on
+    there.
     """
-    n = leq.shape[0]
-    r = [operator.index(w) for w in weights]
-    chi, sign, steps = 0, 1, n + 1
+    op = _as_operator(order)
+    lt, bounds = op.lt, op.bounds
+    weights = [operator.index(w) for w in weights]
+    r = [weights[x] for x in op.perm.tolist()]
+    chi, sign, k = 0, 1, 0
     # tested on the Python ints, so a weight past float64's range cannot raise
     if sum(map(abs, r)) < _FLOAT_EXACT:
-        lt = leq.astype(np.float64)
-        np.fill_diagonal(lt, 0)
         r = np.array(r, dtype=np.float64)
-        while steps:
+        while True:
             # exact below 2**53, and at least 2**53 whenever the true sum is
             size = np.abs(r).sum()
             if not size:
@@ -273,17 +396,15 @@ def _chi_by_chains(leq: np.ndarray, weights) -> int:
                 break
             chi += sign * int(r.sum())
             sign = -sign
-            r = r @ lt
-            steps -= 1
+            r = r @ lt[bounds[k]:, bounds[k + 1]:]
+            k += 1
         r = r.astype(np.int64).tolist()
-    below = (leq & ~np.eye(n, dtype=bool)).T
-    for _ in range(steps):
-        if not any(r):
-            return chi
+    while any(r):
         chi += sign * sum(r)
         sign = -sign
-        r = _int_product(below, r)
-    raise CycleDetected("order relation contains a directed cycle")
+        r = _int_product((lt[bounds[k]:, bounds[k + 1]:] > 0).T, r)
+        k += 1
+    return chi
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
@@ -375,16 +496,17 @@ class Poset:
     """A finite partial order on the elements ``0..n-1``.
 
     Instances are immutable after construction and safe to share between
-    any number of concurrent readers.  Three facts derived from the order
+    any number of concurrent readers.  Four facts derived from the order
     are cached, each filled idempotently on first use (racing readers
     store equal frozen values): the boolean cover matrix, the antichain
-    levels and the Moebius row sums.  Use :meth:`from_covers` to build
-    one; the plain constructor trusts its arguments, turns the given
-    cover pairs into the matrix, and with ``covers=None`` leaves the
-    matrix to be derived from ``leq`` when first read.
+    levels, the strict order as a float64 operator in level order (see
+    :class:`_Operator`) and the Moebius row sums.  Use :meth:`from_covers`
+    to build one; the plain constructor trusts its arguments, turns the
+    given cover pairs into the matrix, and with ``covers=None`` leaves
+    the matrix to be derived from ``leq`` when first read.
     """
 
-    __slots__ = ("n", "labels", "leq", "dropped_covers", "_cov", "_lv", "_r")
+    __slots__ = ("n", "labels", "leq", "dropped_covers", "_cov", "_lv", "_op", "_r")
 
     def __init__(
         self,
@@ -405,6 +527,7 @@ class Poset:
         self.labels = labels
         self.dropped_covers = dropped_covers
         self._lv: tuple[np.ndarray, ...] | None = None
+        self._op: _Operator | None = None
         self._r: np.ndarray | None = None
 
     # ------------------------------------------------------------------
@@ -480,6 +603,20 @@ class Poset:
             self._lv = _levels(self.leq & ~np.eye(self.n, dtype=bool))
         return self._lv
 
+    def _operator(self) -> _Operator:
+        """The strict order in level order as a read-only float64 matrix,
+        with its level order: built on first use and then shared by every
+        solve, chain count and transport on this poset.  The level order
+        is the one a parent handed down (see :meth:`induced_subposet`),
+        else the antichain levels."""
+        op = self._op
+        if op is None:
+            op = _Operator.of_levels(self._level_sets())
+        if op.lt is None:
+            op = op.built(self.leq)
+            self._op = op
+        return op
+
     # ------------------------------------------------------------------
     # element bookkeeping
     # ------------------------------------------------------------------
@@ -553,14 +690,27 @@ class Poset:
         Returns the subposet (elements renumbered 0..k-1 in ascending
         parent order) and the tuple mapping new ids back to parent ids.
         The cover matrix is derived from the restricted order when first
-        read, so it may hold pairs that were not covers of the parent.
+        read, so it may hold pairs that were not covers of the parent.  A
+        parent that holds its operator or its levels hands down its level
+        order cut to s, so the subposet's operator needs no Kahn pass.
         """
         members = self._member_list(s)
-        sub = self.leq[np.ix_(members, members)]
         labels = (
             tuple(self.labels[i] for i in members) if self.labels is not None else None
         )
-        return Poset(len(members), None, sub, labels), tuple(members)
+        return self._restrict(members, labels), tuple(members)
+
+    def _restrict(self, members: list[int], labels=None) -> "Poset":
+        """The subposet on the ascending ids ``members``, with the level
+        order cut from this poset's when it holds one."""
+        ids = np.array(members, dtype=np.int64)
+        sub = Poset(len(members), None, self.leq.take(ids, 0).take(ids, 1), labels)
+        held = self._op
+        if held is None and self._lv is not None:
+            held = _Operator.of_levels(self._lv)
+        if held is not None:
+            sub._op = held.restricted(ids)
+        return sub
 
     def opposite(self) -> "Poset":
         """The same elements with all order relations reversed."""
@@ -580,19 +730,19 @@ class Poset:
     def mobius(self) -> MobiusTable:
         """The full Moebius table, built by one solve on each call."""
         eye = np.eye(self.n, dtype=np.int8)  # the smallest exact identity
-        return MobiusTable(self, _freeze(_mobius_solve(self.leq, eye, self._level_sets())))
+        return MobiusTable(self, _freeze(_mobius_solve(self._operator(), eye)))
 
     def _row_sums(self) -> np.ndarray:
         """The Moebius row sums R(x) = sum(mu(x, y) for y), solved on first
         use and then shared read-only by every reader of this poset.
 
         One solve on the opposite order, whose Moebius matrix is mu
-        transposed, with this order's levels reversed.  chi({y : y > x})
-        = 1 - R(x).
+        transposed, up this order's operator from its top level.
+        chi({y : y > x}) = 1 - R(x).
         """
         if self._r is None:
             ones = np.ones((1, self.n), dtype=object)
-            r = _mobius_solve(self.leq.T, ones, self._level_sets()[::-1])[0]
+            r = _mobius_solve(self._operator().opposite(), ones)[0]
             self._r = _freeze(r)
         return self._r
 
@@ -607,13 +757,13 @@ class Poset:
         up the strict order at a time, exactly (see ``_chi_by_chains``).
         Independent of the Moebius recursion; the two must always agree.
         """
-        return _chi_by_chains(self.leq, [1] * self.n)
+        return _chi_by_chains(self._operator(), [1] * self.n)
 
     def chi_of(self, s: "ElementSet | Iterable[int]") -> int:
         """Euler characteristic of the induced subposet on s, by the chain
         route (no Moebius table is built)."""
         m = self._member_list(s)
-        return _chi_by_chains(self.leq[np.ix_(m, m)], [1] * len(m))
+        return _chi_by_chains(self._restrict(m)._operator(), [1] * len(m))
 
 
 # ----------------------------------------------------------------------

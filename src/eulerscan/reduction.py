@@ -145,7 +145,7 @@ def classify_points(p: Poset) -> PointClass:
     down, up = cov.sum(axis=1) == 1, cov.sum(axis=0) == 1
     is_chi_point = p._row_sums() == 0
     ones = np.ones((1, p.n), dtype=object)
-    is_dual_chi_point = _mobius_solve(p.leq, ones, p._level_sets())[0] == 0
+    is_dual_chi_point = _mobius_solve(p._operator(), ones)[0] == 0
     lt = p.leq & ~np.eye(p.n, dtype=bool)
 
     def weak(beat, chi_point, side) -> frozenset[int]:

@@ -37,6 +37,18 @@ def reachability(n, covers):
     return pairs
 
 
+def strict_order_in(order, leq_pairs):
+    """The float64 matrix of the strict order on the ids listed in
+    ``order``: entry (i, j) is 1.0 iff order[i] < order[j]."""
+    n = len(order)
+    out = np.zeros((n, n))
+    for i, x in enumerate(order):
+        for j, y in enumerate(order):
+            if x != y and (x, y) in leq_pairs:
+                out[i, j] = 1.0
+    return out
+
+
 def closure_by_doubling(adj):
     """Reflexive-transitive closure of an adjacency matrix, by squaring
     until it stops changing (each product in float32, exact for n < 2**24)."""

@@ -429,3 +429,20 @@ def test_20_core_and_classification_at_n4000():
             len(flags.chi_point),
         ]
         assert counts == [0, 0, 0, 0, 0]
+
+
+def test_21_row_sums_transport_and_excursion_at_n4000():
+    net = random_network([500] * 8, 0.1, 100, 1)
+    p, h = net.poset, net.counting
+    assert p.n == 4000
+    identity = PosetMap.identity(p)
+    # the three vector passes read the poset's one float64 operator,
+    # wherever it was built first
+    with criterion(21, "row sums, pushforward and excursion at n=4000", 0.5):
+        row_sums = p._row_sums()
+        pushed = pushforward(identity, h)
+        total = integrate_excursion(h)
+        assert sum(row_sums) == -67605188087253
+        assert pushed == h  # along the identity, h itself
+        assert total == 100
+    assert p.euler_characteristic_by_chains() == -67605188087253

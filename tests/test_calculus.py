@@ -22,6 +22,7 @@ from eulerscan import (
     PosetDocument,
     PosetFunction,
     PosetMap,
+    SensorNetwork,
     TargetPosition,
     TargetSet,
     chi_minimal_model,
@@ -44,6 +45,7 @@ from cliharness import DATA, GOLDEN, run_cli
 from eulerscan.poset import (
     ElementSet,
     _chi_by_chains,
+    _Operator,
     _levels,
     _mobius_solve,
     _solve_in_float,
@@ -580,6 +582,47 @@ def test_moebius_route_never_touches_chain_count(monkeypatch):
     with pytest.raises(AssertionError):
         trellis.euler_characteristic_by_chains()
     _assert_moebius_route_answers(trellis)
+
+
+def test_readings_on_one_poset_build_each_operator_once(monkeypatch):
+    # snapshots on a shared network read its one operator: counting,
+    # corruption, both integrals and the pushforward onto a layer chain
+    net = random_network([10] * 4, 0.3, 0, 7)
+    p = net.poset
+    layers = posetzoo.chain(4)
+    layer_map = PosetMap(p, layers, [x // 10 for x in range(p.n)])
+    built = []
+    build = _Operator.built
+
+    def counted(self, leq):
+        built.append(leq)
+        return build(self, leq)
+
+    monkeypatch.setattr(_Operator, "built", counted)
+    chi_points = chi_minimal_model(p).removed_ids()
+    spots = [TargetPosition.at_node(x) for x in range(p.n)]
+    spots += [TargetPosition.on_edge(a, b) for a, b in sorted(p.covers)]
+    rng = random.Random(5)
+    for count in range(5):
+        targets = TargetSet.of(rng.choice(spots) for _ in range(3 * count))
+        snapshot = SensorNetwork(p, targets)
+        noise = NoiseSpec({x: rng.randint(-9, 9) for x in chi_points})
+        assert integrate(corrupt(snapshot, noise)) == 3 * count
+        assert integrate_excursion(snapshot.counting) == 3 * count
+        assert integrate(pushforward(layer_map, snapshot.counting)) == 3 * count
+    assert [leq is p.leq for leq in built] == [True, False]
+    assert built[1] is layers.leq
+
+
+def test_reduced_count_reads_the_parent_level_order(monkeypatch):
+    # the support subposet takes its level order from the network, so
+    # counting on it runs no Kahn pass and fills no levels
+    net = random_network([6] * 5, 0.4, 12, 5)
+    _refuse(monkeypatch, "_levels")
+    result = enumerate_reduced(net)
+    assert result.count == 12
+    assert result.support._lv is None
+    assert result.support._op.lt is not None
 
 
 INT64_EDGES = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])

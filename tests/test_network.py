@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,46 @@ def test_target_validation(trellis):
     with pytest.raises(ValueError):
         # (b1, t1) is a 2-step relation, not a cover edge
         SensorNetwork(trellis, TargetSet.of([TargetPosition.on_edge(7, 0)]))
+
+
+BAD_TARGETS = [
+    (TargetPosition.at_node(99), "target node 99 does not exist"),
+    (TargetPosition.at_node(-1), "target node -1 does not exist"),
+    (TargetPosition.at_node(2**70), f"target node {2**70} does not exist"),
+    (TargetPosition.on_edge(-1, 3), "target edge (-1, 3) is not a cover of the poset"),
+    (TargetPosition.on_edge(7, -4), "target edge (7, -4) is not a cover of the poset"),
+    (TargetPosition.on_edge(7, 11), "target edge (7, 11) is not a cover of the poset"),
+    (TargetPosition.on_edge(2**70, 0), f"target edge ({2**70}, 0) is not a cover of the poset"),
+    # (b1, t1) is a 2-step relation, not a cover edge
+    (TargetPosition.on_edge(7, 0), "target edge (7, 0) is not a cover of the poset"),
+    (TargetPosition(kind="edge"), "target edge (-1, -1) is not a cover of the poset"),
+    # edges that are no pair, ragged against the others or not
+    (TargetPosition(kind="edge", edge=(7, 3, 0)), "target edge (7, 3, 0) is not a cover of the poset"),
+    (
+        TargetPosition(kind="edge", edge=(7, 3, 3, 0)),
+        "target edge (7, 3, 3, 0) is not a cover of the poset",
+    ),
+]
+
+
+@pytest.mark.parametrize("bad, message", BAD_TARGETS, ids=[m for _, m in BAD_TARGETS])
+def test_counting_function_names_the_bad_target(trellis, bad, message):
+    good = [TargetPosition.at_node(B3), TargetPosition.on_edge(7, 3)]
+    for positions in ([bad], good + [bad], [bad] + good):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            counting_function(trellis, TargetSet(tuple(positions)))
+
+
+def test_counting_function_raises_at_the_first_bad_target_in_order(trellis):
+    node, edge = BAD_TARGETS[0], BAD_TARGETS[7]
+    good = TargetPosition.on_edge(7, 3)
+    for first, second in ((node, edge), (edge, node), (BAD_TARGETS[3], edge)):
+        targets = TargetSet((good, first[0], good, second[0]))
+        with pytest.raises(ValueError, match=f"^{re.escape(first[1])}$"):
+            counting_function(trellis, targets)
+    # TargetSet.of sorts edges before nodes, and edges by their ids
+    with pytest.raises(ValueError, match=f"^{re.escape(BAD_TARGETS[3][1])}$"):
+        counting_function(trellis, TargetSet.of([node[0], edge[0], BAD_TARGETS[3][0]]))
 
 
 def test_counting_is_monotone_nonnegative_always():

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import oracles
 import posetzoo
-from eulerscan import CycleDetected, Poset, SizeLimitExceeded, are_isomorphic
+from eulerscan import (
+    CycleDetected,
+    Poset,
+    SizeLimitExceeded,
+    are_isomorphic,
+    core,
+    random_network,
+)
 from eulerscan import poset as poset_module
 from eulerscan.poset import _cover_matrix, _levels, _mobius_solve
 from posetzoo import B2, B3, M1, M2, M3, M4, T1, T2, T3, TRELLIS_COVERS
@@ -401,6 +408,119 @@ def test_closure_and_covers_match_boolean_products():
             a, b = np.argwhere(lt)[0].tolist() if lt.any() else (0, 1)
             with pytest.raises(CycleDetected, match=f"^{COVER_CYCLE}$"):
                 Poset.from_covers(n, pairs + [(a, b), (b, a)])
+
+
+# ----------------------------------------------------------------------
+# the strict order as a float64 operator in level order
+# ----------------------------------------------------------------------
+
+
+def _check_operator(p):
+    """p's operator against its order and against the oracle order built
+    from its covers by search; returns it."""
+    n = p.n
+    op = p._operator()
+    lt, perm, bounds = op.lt, op.perm.tolist(), op.bounds
+    assert p._operator() is op  # built once, then shared
+    assert lt.dtype == np.float64 and lt.shape == (n, n)
+    assert lt.flags.c_contiguous and not lt.flags.writeable
+    assert sorted(perm) == list(range(n))
+    assert bounds[0] == 0 and bounds[-1] == n
+    assert all(s < e for s, e in zip(bounds, bounds[1:]))  # no empty level
+    # strictly upper block-triangular: a level's columns have entries
+    # only in the rows of earlier levels, so each level is an antichain
+    for s, e in op.blocks():
+        assert not lt[s:, s:e].any()
+    assert set(np.unique(lt).tolist()) <= {0.0, 1.0}
+    unpermuted = np.empty_like(lt)
+    unpermuted[np.ix_(perm, perm)] = lt
+    assert np.array_equal(unpermuted, p.leq & ~np.eye(n, dtype=bool))
+    reach = oracles.reachability(n, p.covers)
+    assert np.array_equal(lt, oracles.strict_order_in(perm, reach))
+    opposite = op.opposite()
+    assert opposite.lt is lt and opposite.dual and opposite.opposite().dual is False
+    return op
+
+
+def _operator_cases():
+    rng = random.Random(41)
+    zoo = [
+        posetzoo.antichain(0), posetzoo.antichain(1), posetzoo.antichain(5),
+        posetzoo.trellis(), posetzoo.chain(5), posetzoo.diamond(), posetzoo.vee(),
+        posetzoo.four_cycle(), posetzoo.circle_plus_point(),
+        posetzoo.coned_circle_plus_point(),
+    ]
+    shuffled = [oracles.random_poset(rng, max_n=9, shuffle=True) for _ in range(25)]
+    plain = [Poset(q.n, None, q.leq.copy()) for q in shuffled[:8]]
+    return zoo + shuffled + plain + [q.opposite() for q in zoo + shuffled[:8]]
+
+
+@pytest.mark.parametrize("p", _operator_cases())
+def test_operator_is_the_strict_order_in_level_order(p):
+    op = _check_operator(p)
+    # built from the Kahn levels, bottom first
+    assert op.bounds == (0, *np.cumsum([len(a) for a in p._level_sets()]).tolist())
+    assert op.perm.tolist() == [x for a in p._level_sets() for x in a.tolist()]
+
+
+def test_subposets_and_cores_cut_the_parent_level_order():
+    rng = random.Random(43)
+    parents = [posetzoo.trellis(), posetzoo.antichain(4)]
+    parents += [oracles.random_poset(rng, max_n=9, shuffle=True) for _ in range(30)]
+    parents += [
+        random_network([rng.randint(1, 6) for _ in range(4)], 0.4, 0, seed).poset
+        for seed in range(6)
+    ]
+    for p in parents:
+        members = sorted(rng.sample(range(p.n), rng.randint(0, p.n)))
+        plain = Poset(p.n, None, p.leq.copy())  # holds no levels
+        held = Poset(p.n, None, p.leq.copy())
+        held._operator()
+        # from_covers holds its levels, the plain constructor nothing
+        for q, hands_down in ((plain, False), (p, True), (held, True)):
+            for sub in (q.induced_subposet(members)[0], core(q).result):
+                # the parent's level order, cut to the members; the matrix
+                # waits for a reader
+                assert (sub._op is not None) == hands_down
+                assert sub._op is None or sub._op.lt is None
+                _check_operator(sub)
+                assert (sub._lv is None) == hands_down  # no Kahn pass
+                fresh = Poset(sub.n, None, sub.leq.copy())
+                _check_operator(fresh)
+                assert sub._row_sums().tolist() == fresh._row_sums().tolist()
+                chi = fresh.euler_characteristic()
+                assert sub.euler_characteristic_by_chains() == chi
+
+
+def test_operator_slot_is_published_once_and_built(monkeypatch):
+    # A reader that stored a level order without its matrix could
+    # overwrite a racing reader's built operator, and that reader would
+    # hand out the matrix-less one; so the slot takes only built
+    # operators, besides the level order a parent hands down.
+    slot, writes = Poset._op, []
+
+    class Spy:
+        def __get__(self, obj, cls=None):
+            return self if obj is None else slot.__get__(obj, cls)
+
+        def __set__(self, obj, value):
+            if value is not None:
+                writes.append((obj, value))
+            slot.__set__(obj, value)
+
+    monkeypatch.setattr(Poset, "_op", Spy())
+    p = random_network([5, 6, 5, 4], 0.4, 0, 7).poset
+    plain = Poset(p.n, None, p.leq.copy())
+    for q in (p, plain):
+        op = q._operator()
+        assert [(obj, value) for obj, value in writes if obj is q] == [(q, op)]
+        assert op.lt is not None
+    sub = p.induced_subposet(range(0, p.n, 2))[0]
+    cut = sub._op
+    assert cut.lt is None  # the parent's level order, handed down
+    op = sub._operator()
+    assert [value for obj, value in writes if obj is sub] == [cut, op]
+    assert op.lt is not None and op.perm is cut.perm
 
 
 # ----------------------------------------------------------------------

@@ -12,9 +12,10 @@ ints (see ``eulerscan.poset``), and the transports sum them onto the
 images and then over prime ideals or filters, one exact product with
 the codomain's held operator.  Monotone
 non-negative functions also admit the excursion-set decomposition, kept
-as an independent, mu-free cross-check route: one weighted chain count,
-exact, whose steps run in float64 BLAS while the chain weights in play
-sum below 2**53 in absolute value and on Python ints past that.
+as an independent, mu-free cross-check route: h . E, with E the
+poset's signed chain counts (chains counted by their bottoms, exact),
+held once per poset like R.  Both integrals are one exact Python-int
+dot product with the held vector.
 
 Functions take int64 values.  Out-of-range inputs, and arithmetic or
 transports whose results leave int64, raise ``OverflowError`` instead
@@ -33,7 +34,7 @@ from .errors import NegativeValues, NotMonotone, NotOrderPreserving
 from .poset import (
     ElementSet,
     Poset,
-    _chi_by_chains,
+    _exact_dot,
     _mobius_solve,
     _order_sums,
 )
@@ -240,8 +241,7 @@ def integrate(h: PosetFunction) -> int:
     every prime filter has chi 1: the dot product of h with the Moebius
     row sums, taken in Python ints.  Valid for arbitrary integer h.
     """
-    row_sums = h.parent._row_sums().tolist()
-    return sum(v * r for v, r in zip(h.values.tolist(), row_sums))
+    return _exact_dot(h.values, h.parent._row_sums())
 
 
 def integrate_excursion(h: PosetFunction) -> int:
@@ -250,16 +250,17 @@ def integrate_excursion(h: PosetFunction) -> int:
     The integral is the sum of chi({h >= i}) for i = 1..max(h), and
     monotonicity makes each excursion set a filter.  Swapping the sums
     (Fubini), a chain lies in {h >= i} exactly when its bottom does, so
-    the sum is one alternating chain count with each chain weighted by h
-    at its bottom.  Without monotonicity and non-negativity the
-    decomposition is meaningless, so violations raise instead of
-    returning a number.
+    the sum is the alternating chain count with each chain weighted by h
+    at its bottom: h dotted with the poset's signed chain counts E, held
+    once per poset, with no Moebius function involved.  Without
+    monotonicity and non-negativity the decomposition is meaningless, so
+    violations raise instead of returning a number.
     """
     if not h.is_monotone():
         raise NotMonotone("excursion route requires a monotone function")
     if not h.is_nonnegative():
         raise NegativeValues("excursion route requires non-negative values")
-    return _chi_by_chains(h.parent._operator(), h.values.tolist())
+    return _exact_dot(h.values, h.parent._chain_sums())
 
 
 def pushforward(f: PosetMap, h: PosetFunction) -> PosetFunction:

@@ -168,11 +168,10 @@ def enumerate_reduced(
         raise ValueError("readings live on a different poset")
     model = chi_minimal_model(net.poset, tie_break)
     ids = np.array(model.mapping, dtype=np.int64)
-    support_ids = tuple(ids[h.values[ids] >= 1].tolist())
-    support, mapping = net.poset.induced_subposet(support_ids)
+    support, mapping = net.poset.induced_subposet(ids[h.values[ids] >= 1])
     restricted = PosetFunction(support, h.values[list(mapping)])
     count = integrate_excursion(restricted)
-    return ReducedEnumeration(count, support, support_ids, model)
+    return ReducedEnumeration(count, support, mapping, model)
 
 
 def sensor_placement_plan(

@@ -10,18 +10,22 @@ and tells the kept covers from pairs implied by a longer path.
 
 Two independent Euler-characteristic routes are provided, each one pass
 over a start vector: a solve against the zeta matrix (``_mobius_solve``
-gives ``v @ mu`` for any rows v; chi is the sum of the Moebius row sums),
-and an alternating count of strict chains, optionally weighted by their
-bottoms (``_chi_by_chains``).  They must agree on every poset, and the
-test suite leans on that redundancy.  Each poset keeps four derived
-facts in frozen cache slots, each filled once when first needed: its
-boolean cover matrix (kept by :meth:`Poset.from_covers` and the core,
-derived from the order only for subposets and opposites whose maker
-does not hold it), which every reader of the covers and every cover
-degree comes from; its antichain levels; its strict order as a float64
-operator in level order; and its Moebius row sums R.  Every reader of R
+gives ``v @ mu`` for any rows v; chi is the sum of the Moebius row sums
+R), and an alternating count of strict chains by their bottoms
+(``_signed_chain_counts``: E(x) sums (-1)**k over the chains x = x0 <
+... < xk; chi is the sum of E).  E equals R only by P. Hall's theorem,
+and neither pass reads the other, so the test suite leans on their
+agreement.  Each poset keeps five derived facts in frozen cache slots,
+each filled once when first needed: its boolean cover matrix (kept by
+:meth:`Poset.from_covers` and the core, derived from the order only for
+subposets and opposites whose maker does not hold it), which every
+reader of the covers and every cover degree comes from; its antichain
+levels; its strict order as a float64 operator in level order; its
+Moebius row sums R; and its signed chain counts E.  Every reader of R
 (chi, integrals, chi-points, point classes, chi-distinguished maps)
-shares that vector.  Only :meth:`Poset.mobius` builds the full table.
+shares that vector, and every reader of the chain route (chi by chains,
+chi of a subset, the excursion integral) shares E.  Only
+:meth:`Poset.mobius` builds the full table.
 
 The operator (:class:`_Operator`) is the strict order with its rows and
 columns permuted into level order, the levels concatenated, as one
@@ -48,9 +52,11 @@ when the vector's absolute values sum below 2**53, tested on the exact
 values before any float conversion: then every entry and partial sum of
 the product is the sum of some of the vector's entries, an integer
 float64 holds exactly.  Otherwise it runs on Python ints.  Transports
-make one such exact ``_order_sums``; the chain count keeps its vector in
-float64 while the bound holds and turns it into Python ints the first
-time it fails.  The counting products of the order walk and the cover
+make one such exact ``_order_sums``.  The chain count starts from all
+ones, so its counts stay non-negative; it steps in float64 while the
+sum of every count so far is below 2**53, which bounds each entry of a
+step and of E, and turns counts and E into Python ints the first time
+the bound fails.  The counting products of the order walk and the cover
 matrix run in float32, where every entry is a count below 2**24.
 """
 
@@ -359,52 +365,78 @@ def _int_product(a: np.ndarray, x) -> list[int]:
     return (a.astype(object) @ np.array(x, dtype=object)).tolist()
 
 
-def _chi_by_chains(order, weights) -> int:
-    """The sum over strict chains x0 < ... < xk of (-1)**k * weights[x0].
-    With unit weights it is the Euler characteristic (P. Hall's theorem),
-    with no Moebius function involved.  ``order`` is a poset's operator,
-    not its opposite, or an order matrix, as for ``_mobius_solve``.
+def _exact_dot(a, b) -> int:
+    """sum(a[x] * b[x]) on Python ints, exact at any size; an ndarray is
+    read through ``tolist``, so int64 and object arrays give Python ints."""
+    a, b = (v.tolist() if isinstance(v, np.ndarray) else v for v in (a, b))
+    return sum(map(operator.mul, a, b))
 
-    Entry y of the vector ``r`` sums the weights of the chains of the
-    current length whose top is y; ``r @ lt``, with column y of the
-    strict order ``lt`` marking the elements strictly below y, extends
-    each by a step up.  A chain of k + 1 elements tops out at level k or
-    above, so step k reads only the rows of ``lt`` from level k - 1 up
-    and its columns from level k up, and r shrinks as the chains climb;
-    after the last level it is empty.  While sum(|r|) < 2**53, ``r``
-    stays a float64 array and each step is one BLAS product: every entry
-    of the step, and every partial sum formed on the way, is the sum of
-    a subset of r's entries, an integer float64 holds exactly, and so is
-    the level sum.  The first time the bound fails, ``r`` (still exact,
-    each entry below 2**53) turns into Python ints, and the steps go on
-    there.
+
+def _signed_chain_counts(op: _Operator) -> np.ndarray:
+    """E(x), the sum of (-1)**k over the strict chains x = x0 < ... < xk
+    whose bottom is x, for every element x of the operator ``op`` (not
+    its opposite), as Python ints in an object array.  Summed, E is the
+    Euler characteristic (P. Hall's theorem); dotted with any h it is the
+    sum over chains of (-1)**k * h at the bottom, with no Moebius function
+    involved.
+
+    The count starts from all ones, the chains of one element.  Entry x
+    of ``counts`` counts the chains of the current length whose bottom
+    is x; ``lt @ counts``, with row x of the strict order ``lt`` marking
+    the elements strictly above x, extends each by a step down.  A chain
+    of k + 1 elements has its bottom at least k levels below the top, so
+    step k reads only the rows below the last k levels and the columns
+    the previous step filled, and counts shrinks as the chains grow; a
+    step with no chains left ends the pass.  E adds the steps with
+    alternating signs.  While the running sum of every count so far is
+    below 2**53, each step is one float64 BLAS product: counts are
+    non-negative, so that sum bounds every entry of the next step, every
+    partial sum formed on the way, and every entry of E.  The bound is
+    tested before a step is used; the first time it fails, counts and E,
+    both still exact, turn into Python ints, and that step and the rest
+    run there.
     """
-    op = _as_operator(order)
-    lt, bounds = op.lt, op.bounds
-    weights = [operator.index(w) for w in weights]
-    r = [weights[x] for x in op.perm.tolist()]
-    chi, sign, k = 0, 1, 0
-    # tested on the Python ints, so a weight past float64's range cannot raise
-    if sum(map(abs, r)) < _FLOAT_EXACT:
-        r = np.array(r, dtype=np.float64)
-        while True:
-            # exact below 2**53, and at least 2**53 whenever the true sum is
-            size = np.abs(r).sum()
-            if not size:
-                return chi
-            if size >= _FLOAT_EXACT:
-                break
-            chi += sign * int(r.sum())
-            sign = -sign
-            r = r @ lt[bounds[k]:, bounds[k + 1]:]
-            k += 1
-        r = r.astype(np.int64).tolist()
-    while any(r):
-        chi += sign * sum(r)
+    lt, n = op.lt, len(op.perm)
+    stops = op.bounds[-2:0:-1]  # the rows each step keeps, from the top down
+    counts = np.ones(n)
+    sums = counts.copy()
+    seen = n  # the sum of every count so far
+    for k, stop in enumerate(stops):
+        step = lt[:stop, : len(counts)] @ counts
+        size = int(step.sum())  # exact below 2**53, at least 2**53 when the true sum is
+        if not size:  # no chain this long, so none longer
+            break
+        seen += size
+        if not seen < _FLOAT_EXACT:
+            return _freeze(op.to_ids(_chain_steps_on_ints(lt, stops[k:], k, counts, sums)))
+        if k % 2:
+            sums[:stop] += step
+        else:
+            sums[:stop] -= step
+        counts = step
+    return _freeze(op.to_ids(sums.astype(np.int64).astype(object)))
+
+
+def _chain_steps_on_ints(lt, stops, k, counts, sums) -> np.ndarray:
+    """The steps of ``_signed_chain_counts`` from step k on, on Python
+    ints, taking over its exact float64 counts and sums."""
+    counts = counts.astype(np.int64).tolist()
+    sums = sums.astype(np.int64).astype(object)
+    sign = 1 if k % 2 else -1
+    for stop in stops:
+        counts = _int_product(lt[:stop, : len(counts)] > 0, counts)
+        sums[:stop] += sign * np.array(counts, dtype=object)
         sign = -sign
-        r = _int_product((lt[bounds[k]:, bounds[k + 1]:] > 0).T, r)
-        k += 1
-    return chi
+    return sums
+
+
+def _chi_by_chains(order, weights) -> int:
+    """The sum over strict chains x0 < ... < xk of (-1)**k * weights[x0]:
+    the exact dot of the weights with the signed chain counts of
+    ``order``, a poset's operator (not its opposite) or an order matrix,
+    as for ``_mobius_solve`` (see ``_signed_chain_counts``)."""
+    weights = [operator.index(w) for w in weights]
+    return _exact_dot(weights, _signed_chain_counts(_as_operator(order)))
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
@@ -496,17 +528,18 @@ class Poset:
     """A finite partial order on the elements ``0..n-1``.
 
     Instances are immutable after construction and safe to share between
-    any number of concurrent readers.  Four facts derived from the order
+    any number of concurrent readers.  Five facts derived from the order
     are cached, each filled idempotently on first use (racing readers
     store equal frozen values): the boolean cover matrix, the antichain
     levels, the strict order as a float64 operator in level order (see
-    :class:`_Operator`) and the Moebius row sums.  Use :meth:`from_covers`
-    to build one; the plain constructor trusts its arguments, turns the
-    given cover pairs into the matrix, and with ``covers=None`` leaves
-    the matrix to be derived from ``leq`` when first read.
+    :class:`_Operator`), the Moebius row sums and the signed chain
+    counts.  Use :meth:`from_covers` to build one; the plain constructor
+    trusts its arguments, turns the given cover pairs into the matrix,
+    and with ``covers=None`` leaves the matrix to be derived from ``leq``
+    when first read.
     """
 
-    __slots__ = ("n", "labels", "leq", "dropped_covers", "_cov", "_lv", "_op", "_r")
+    __slots__ = ("n", "labels", "leq", "dropped_covers", "_cov", "_lv", "_op", "_r", "_e")
 
     def __init__(
         self,
@@ -529,6 +562,7 @@ class Poset:
         self._lv: tuple[np.ndarray, ...] | None = None
         self._op: _Operator | None = None
         self._r: np.ndarray | None = None
+        self._e: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -639,11 +673,24 @@ class Poset:
         return x
 
     def _member_list(self, s: "ElementSet | Iterable[int]") -> list[int]:
-        """The distinct ids of s, checked and ascending."""
+        """The distinct ids of s, checked and ascending.
+
+        A one-dimensional ndarray of a signed or unsigned integer dtype is
+        checked in one vector pass, the first id out of range in input
+        order raising, as one at a time would.  Anything else goes id by
+        id through ``_element``.
+        """
         if isinstance(s, ElementSet):
             if s.parent is not self:
                 raise ValueError("element set belongs to a different poset")
             return sorted(s.members)
+        if isinstance(s, np.ndarray) and s.ndim == 1 and s.dtype.kind in "iu":
+            bad = (s < 0) | (s >= self.n)
+            if bad.any():
+                self._element(int(s[bad.argmax()]))
+            # not np.unique, which imports numpy.ma (about 1.6 MB resident)
+            # and is slower than a set at these sizes
+            return sorted(set(s.tolist()))
         return sorted({self._element(x) for x in s})
 
     def __repr__(self) -> str:
@@ -750,20 +797,31 @@ class Poset:
         """chi via the Moebius route: the sum of the Moebius row sums."""
         return int(self._row_sums().sum())
 
-    def euler_characteristic_by_chains(self) -> int:
-        """chi via the chain route: alternating count of strict chains.
+    def _chain_sums(self) -> np.ndarray:
+        """The signed chain counts E(x) = sum((-1)**k) over the strict
+        chains x = x0 < ... < xk, counted on first use and then shared
+        read-only by every reader of the chain route on this poset.
 
-        Counts the chains of each length by extending a vector one step
-        up the strict order at a time, exactly (see ``_chi_by_chains``).
-        Independent of the Moebius recursion; the two must always agree.
+        One chain-count pass over the operator (``_signed_chain_counts``),
+        with no Moebius solve: E equals the row sums R only by P. Hall's
+        theorem, so the two routes stay independent checks of each other.
         """
-        return _chi_by_chains(self._operator(), [1] * self.n)
+        if self._e is None:
+            self._e = _signed_chain_counts(self._operator())
+        return self._e
+
+    def euler_characteristic_by_chains(self) -> int:
+        """chi via the chain route: the alternating count of strict
+        chains, the sum of the signed chain counts E.  Independent of the
+        Moebius recursion; the two must always agree.
+        """
+        return int(self._chain_sums().sum())
 
     def chi_of(self, s: "ElementSet | Iterable[int]") -> int:
         """Euler characteristic of the induced subposet on s, by the chain
-        route (no Moebius table is built)."""
-        m = self._member_list(s)
-        return _chi_by_chains(self._restrict(m)._operator(), [1] * len(m))
+        route: the sum of the subposet's own E (no Moebius table is
+        built)."""
+        return int(self._restrict(self._member_list(s))._chain_sums().sum())
 
 
 # ----------------------------------------------------------------------

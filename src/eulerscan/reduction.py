@@ -203,5 +203,5 @@ def chi_minimal_model(
     removal = tuple(
         (int(x), CHI_POINT) for x in chi_points[np.argsort(rank[chi_points])]
     )
-    result, mapping = p.induced_subposet(np.flatnonzero(~is_chi_point).tolist())
+    result, mapping = p.induced_subposet(np.flatnonzero(~is_chi_point))
     return ReductionReport(p, removal, result, mapping)

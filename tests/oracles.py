@@ -78,6 +78,21 @@ def chains_by_length(elements, leq_pairs):
     return counts
 
 
+def chain_sums_by_enumeration(n, leq_pairs):
+    """E(x) = sum((-1)**k) over the strict chains x = x0 < ... < xk, for
+    each x in 0..n-1: the chains of the up-set of x, by length, less
+    those of its strict up-set, which are the ones not starting at x."""
+    sums = []
+    for x in range(n):
+        up = [y for y in range(n) if (x, y) in leq_pairs]
+        with_x = chains_by_length(up, leq_pairs)
+        without_x = chains_by_length([y for y in up if y != x], leq_pairs)
+        sums.append(
+            sum((-1) ** (k - 1) * (c - without_x.get(k, 0)) for k, c in with_x.items())
+        )
+    return sums
+
+
 def chi_by_chain_enumeration(elements, leq_pairs):
     counts = chains_by_length(elements, leq_pairs)
     return sum((-1) ** (k - 1) * c for k, c in counts.items())

@@ -318,6 +318,8 @@ def test_13_chain_route_and_excursion_at_scale():
         assert p.n == 2000
         # criterion 14 gets the same value from the Moebius route
         assert p.euler_characteristic_by_chains() == 50068958991
+        # and E, summed above, is the Moebius row sums R entry by entry
+        assert p._chain_sums().tolist() == p._row_sums().tolist()
 
 
 def test_14_cli_end_to_end_at_n2000(tmp_path):

@@ -578,7 +578,7 @@ def test_simulate_solves_row_sums_once_and_builds_one_model(monkeypatch):
 
 def test_moebius_route_never_touches_chain_count(monkeypatch):
     trellis = posetzoo.trellis()
-    _refuse(monkeypatch, "_chi_by_chains")
+    _refuse(monkeypatch, "_signed_chain_counts")
     with pytest.raises(AssertionError):
         trellis.euler_characteristic_by_chains()
     _assert_moebius_route_answers(trellis)
@@ -612,6 +612,39 @@ def test_readings_on_one_poset_build_each_operator_once(monkeypatch):
         assert integrate(pushforward(layer_map, snapshot.counting)) == 3 * count
     assert [leq is p.leq for leq in built] == [True, False]
     assert built[1] is layers.leq
+
+
+def test_snapshots_on_one_network_count_its_chains_once(monkeypatch):
+    # the excursion integral of every snapshot reads the network's one
+    # held E; a subposet counts its own chains, once, and keeps them
+    net = random_network([10] * 6, 0.2, 0, 11)
+    p = net.poset
+    counted = []
+
+    def count(original):
+        def call(op):
+            counted.append(len(op.perm))
+            return original(op)
+
+        return call
+
+    _wrap(monkeypatch, "_signed_chain_counts", count)
+    spots = [TargetPosition.at_node(x) for x in range(p.n)]
+    spots += [TargetPosition.on_edge(a, b) for a, b in sorted(p.covers)]
+    rng = random.Random(17)
+    for _ in range(40):
+        size = rng.randint(0, 30)
+        snapshot = SensorNetwork(p, TargetSet.of(rng.choice(spots) for _ in range(size)))
+        assert integrate_excursion(snapshot.counting) == size
+    assert p.euler_characteristic_by_chains() == p.euler_characteristic()
+    assert counted == [p.n]
+    e = p._chain_sums()
+    sub, _ = p.induced_subposet(range(10, 50))
+    for _ in range(3):
+        assert sub.euler_characteristic_by_chains() == sub.euler_characteristic()
+        assert integrate_excursion(PosetFunction(sub, [1] * sub.n)) == sub.euler_characteristic()
+    assert counted == [p.n, 40]
+    assert sub._chain_sums() is not e and p._chain_sums() is e
 
 
 def test_reduced_count_reads_the_parent_level_order(monkeypatch):
@@ -732,12 +765,11 @@ V_SHAPE = Poset.from_covers(3, [(0, 2), (1, 2)])  # two minima under one maximum
 @pytest.mark.parametrize(
     "p, weights",
     [
-        # max |r| fits int64, but the step's entry at the top is 2**63;
-        # all four sum past 2**53, so every step runs on Python ints
+        # every weight fits int64, but their sum at the top is 2**63
         (V_SHAPE, [2**62, 2**62, 0]),
-        # sum |r| = 2**63 - 1: a step whose top entry is 2**63 - 1
+        # weights summing to 2**63 - 1
         (CHAIN3, [2**62, 2**62 - 1, 0]),
-        # sum |r| = 2**63: the step's top entry leaves int64
+        # weights summing to 2**63, past int64
         (CHAIN3, [2**62, 2**62, 0]),
         (CHAIN3, [-(2**62), -(2**62) - 1, 7]),
     ],
@@ -752,21 +784,23 @@ def test_chain_count_exact_at_the_int64_step_bound(p, weights):
     )
 
 
+# The weights meet the chain count only in the final exact dot with the
+# signed chain counts, which start from all ones, so on these small
+# posets every step stays in float64 whatever the weights.
 @pytest.mark.parametrize(
     "p, weights, python_steps",
     [
-        # max |r| fits, but the step's entry at the top is 2**53
-        (V_SHAPE, [2**52, 2**52, 0], 2),
-        # max |r| fits, and a float step would round the top entry 2**53 + 1
-        (V_SHAPE, [2**52 + 1, 2**52, 1], 2),
-        # sum |r| = 2**53 - 1: one float step, whose top entry is 2**53 - 1,
-        # then the vector sums past the bound and goes on in Python ints
-        (CHAIN3, [2**52, 2**52 - 1, 0], 2),
-        # sum |r| = 2**53: Python ints from the first step
-        (CHAIN3, [2**52, 2**52, 0], 3),
-        (CHAIN3, [-(2**52), -(2**52) - 1, 7], 3),
-        # past float64's range: the bound is tested before any conversion
-        (V_SHAPE, [2**1100, 1, 2], 2),
+        # weights whose sum at the top is 2**53
+        (V_SHAPE, [2**52, 2**52, 0], 0),
+        # a top sum of 2**53 + 1, which float64 would round
+        (V_SHAPE, [2**52 + 1, 2**52, 1], 0),
+        # weights summing to 2**53 - 1
+        (CHAIN3, [2**52, 2**52 - 1, 0], 0),
+        # weights summing to 2**53
+        (CHAIN3, [2**52, 2**52, 0], 0),
+        (CHAIN3, [-(2**52), -(2**52) - 1, 7], 0),
+        # past float64's range: the weight is never converted
+        (V_SHAPE, [2**1100, 1, 2], 0),
     ],
     ids=[
         "v-shape", "v-shape-rounding", "chain-below-bound", "chain-at-bound",

@@ -168,6 +168,49 @@ def test_order_primitives_reject_ids_out_of_range():
     assert p.less_equal(np.int64(0), 2) and p.label(np.int64(2)) == "2"
 
 
+MEMBER_SITES = {
+    "chi_of": lambda p, s: p.chi_of(s),
+    "induced_subposet": lambda p, s: p.induced_subposet(s),
+    "is_filter": lambda p, s: p.is_filter(s),
+}
+
+
+@pytest.mark.parametrize("site", sorted(MEMBER_SITES))
+@pytest.mark.parametrize(
+    "kind",
+    [list, np.int64, np.int8, np.uint64, object],
+    ids=["list", "int64", "int8", "uint64", "object"],
+)
+def test_member_ids_raise_for_the_first_bad_id_in_input_order(site, kind):
+    p = posetzoo.chain(3)
+    call = MEMBER_SITES[site]
+
+    def given(ids):
+        return list(ids) if kind is list else np.array(ids, dtype=kind)
+
+    cases = [([3, 0, 1], 3), ([0, 1, 7], 7), ([9, 0, 4], 9), ([2, 1, 5, 0, 6], 5)]
+    if kind is not np.uint64:
+        cases += [([-1, 0, 1], -1), ([0, 1, -2], -2), ([-3, 0, 3], -3), ([4, 0, -1], 4)]
+    for ids, bad in cases:
+        with pytest.raises(ValueError, match=f"^element id {bad} out of range$"):
+            call(p, given(ids))
+    # repeated and unsorted ids give the same subposet either way
+    sub, mapping = p.induced_subposet(given([2, 0, 2]))
+    assert mapping == (0, 2) and all(type(x) is int for x in mapping)
+    assert sub.order_identical(posetzoo.chain(2))
+    assert p.chi_of(given([2, 0, 2])) == 1 and p.is_filter(given([2, 1, 2]))
+    assert p.induced_subposet(given([]))[1] == ()
+
+
+def test_member_ids_of_bool_and_float_arrays_are_checked_one_by_one():
+    p = posetzoo.chain(3)
+    for ids in (np.array([True, False]), np.array([0.0, 1.0]), np.array([[0, 1]])):
+        with pytest.raises(TypeError):
+            p.chi_of(ids)
+    with pytest.raises(ValueError, match="^element id 3 out of range$"):
+        p.chi_of(np.array([0, 3], dtype=object))
+
+
 # ----------------------------------------------------------------------
 # up/down sets and filters
 # ----------------------------------------------------------------------
@@ -521,6 +564,93 @@ def test_operator_slot_is_published_once_and_built(monkeypatch):
     op = sub._operator()
     assert [value for obj, value in writes if obj is sub] == [cut, op]
     assert op.lt is not None and op.perm is cut.perm
+
+
+# ----------------------------------------------------------------------
+# signed chain counts
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", _operator_cases())
+def test_signed_chain_counts_match_enumeration(p):
+    reach = oracles.reachability(p.n, p.covers)
+    e = p._chain_sums()
+    assert e.tolist() == oracles.chain_sums_by_enumeration(p.n, reach)
+    assert all(type(v) is int for v in e.tolist())
+    assert p.euler_characteristic_by_chains() == oracles.chi_by_chain_enumeration(
+        range(p.n), reach
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_signed_chain_counts_equal_the_moebius_row_sums(seed):
+    # P. Hall's theorem: two independent algorithms, one answer
+    p = oracles.random_poset(random.Random(seed), max_n=10, shuffle=True)
+    assert p._chain_sums().tolist() == p._row_sums().tolist()
+
+
+def test_held_chain_counts_are_read_only():
+    p = posetzoo.trellis()
+    e = p._chain_sums()
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0] = 5
+    assert p._chain_sums() is e
+
+
+def _layered(width, layers):
+    """Every element of each antichain layer below every one of the next."""
+    return Poset.from_covers(
+        width * layers,
+        [
+            (a, b)
+            for j in range(layers - 1)
+            for a in range(j * width, (j + 1) * width)
+            for b in range((j + 1) * width, (j + 2) * width)
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "p, expect, python_steps",
+    [
+        # 2**53 - 1 chains in all: every step in float64
+        (posetzoo.chain(53), [0] * 52 + [1], 0),
+        # a point beside it brings the running sum to 2**53 exactly at the
+        # last step, which then runs on Python ints
+        (Poset.from_covers(54, [(i, i + 1) for i in range(52)]), [0] * 52 + [1, 1], 1),
+        # the running sum first reaches 2**53 at the chains of 27 elements,
+        # so the 28 steps from there on run on Python ints
+        (posetzoo.chain(54), [0] * 53 + [1], 28),
+        # 4**40 - 1 chains; an element of layer j has E = (-2)**(39 - j)
+        # and chi is -(2**40 - 1), from step 12 on in Python ints
+        (_layered(3, 40), [(-2) ** (39 - x // 3) for x in range(120)], 28),
+    ],
+    ids=["chain-below", "chain-and-point-at", "chain-past", "layers-past"],
+)
+def test_signed_chain_counts_exact_across_2_53(monkeypatch, p, expect, python_steps):
+    steps = []
+    product = poset_module._int_product
+
+    def counted(*args):
+        steps.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(poset_module, "_int_product", counted)
+    e = p._chain_sums()
+    assert e.tolist() == expect
+    assert len(steps) == python_steps
+    assert p.euler_characteristic_by_chains() == sum(expect)
+    assert e.tolist() == p._row_sums().tolist()
+
+
+def test_chi_of_layers_cut_from_forty():
+    # an ordinal sum of m antichains of 3 has chi 1 - (-2)**m
+    p = _layered(3, 40)
+    assert p.euler_characteristic_by_chains() == -(2**40 - 1)
+    assert p.chi_of(range(3, 120)) == 2**39 + 1
+    assert p.chi_of(np.arange(60, 120)) == 1 - 2**20
 
 
 # ----------------------------------------------------------------------

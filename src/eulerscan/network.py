@@ -33,9 +33,14 @@ class TargetPosition:
     edge: tuple[int, int] = (-1, -1)
 
     def __post_init__(self):
+        if self.kind not in ("node", "edge"):
+            raise ValueError(f"target kind {self.kind!r} is neither 'node' nor 'edge'")
         # TypeError for an id that is not an integer
         object.__setattr__(self, "node", operator.index(self.node))
-        object.__setattr__(self, "edge", tuple(map(operator.index, self.edge)))
+        edge = tuple(map(operator.index, self.edge))
+        if len(edge) != 2:
+            raise ValueError(f"target edge {edge} does not name two ids")
+        object.__setattr__(self, "edge", edge)
 
     @classmethod
     def at_node(cls, x: int) -> "TargetPosition":

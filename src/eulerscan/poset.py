@@ -39,25 +39,28 @@ on the way out.  The levels are the antichain levels of the order, or,
 for a subposet of a poset that holds its levels or operator, the
 parent's levels cut to the members, which need no Kahn pass.
 
-All counting arithmetic is exact.  A solve runs one level at a time in
-float64 BLAS, and its answer is kept only when one exact check of the
-result certifies it: |v| < 2**53, sum(|c|) < 2**53 along each row of
-the answer c, and ``c + c @ lt == v`` in float64, a product of its own,
-which under those bounds is the integer identity ``c @ zeta == v``.
-Otherwise the same recursion runs on Python ints, the only path for
-answers past 2**53.  The solves and the zeta and Moebius matrices hand
-out Python-int object arrays at every size.  A 0/1 matrix times an
-integer vector (a chain count step, a transport) runs in float64 BLAS
-when the vector's absolute values sum below 2**53, tested on the exact
-values before any float conversion: then every entry and partial sum of
-the product is the sum of some of the vector's entries, an integer
-float64 holds exactly.  Otherwise it runs on Python ints.  Transports
-make one such exact ``_order_sums``.  The chain count starts from all
-ones, so its counts stay non-negative; it steps in float64 while the
-sum of every count so far is below 2**53, which bounds each entry of a
-step and of E, and turns counts and E into Python ints the first time
-the bound fails.  The counting products of the order walk and the cover
-matrix run in float32, where every entry is a count below 2**24.
+All counting arithmetic is exact, in two tiers that run the same code:
+float64 BLAS, and Python ints, which every product with the operator
+takes through one function, ``_int_product`` (column masks and sums).
+A solve is one level walk (``_level_walk``), run in float64 first and
+kept only when one exact check of the result certifies it: |v| < 2**53,
+sum(|c|) < 2**53 along each row of the answer c, and ``c + c @ lt ==
+v`` in float64, a product of its own, which under those bounds is the
+integer identity ``c @ zeta == v``.  Otherwise the same walk runs again
+on Python ints, the only path for answers past 2**53.  The solves and
+the zeta and Moebius matrices hand out Python-int object arrays at
+every size.  A 0/1 matrix times an integer vector (a chain count step,
+a transport) runs in float64 BLAS when the vector's absolute values sum
+below 2**53, tested on the exact values before any float conversion:
+then every entry and partial sum of the product is the sum of some of
+the vector's entries, an integer float64 holds exactly.  Otherwise it
+runs on Python ints.  Transports make one such exact ``_order_sums``.
+The chain count starts from all ones, so its counts stay non-negative;
+its one loop steps in float64 while the sum of every count so far is
+below 2**53, which bounds each entry of a step and of E, and turns
+counts and E into Python ints the first time the bound fails.  The
+counting products of the order walk and the cover matrix run in
+float32, where every entry is a count below 2**24.
 """
 
 from __future__ import annotations
@@ -240,45 +243,45 @@ class _Operator:
         return out
 
 
-def _as_operator(order, levels=None) -> _Operator:
-    """``order`` when it is an operator; else the operator of the order
-    matrix ``order`` (reflexive or strict) in ``levels``, which a Kahn
-    pass finds when they are not given."""
-    if isinstance(order, _Operator):
-        return order
-    if levels is None:
-        levels = _levels(order & ~np.eye(order.shape[0], dtype=bool))
-    return _Operator.of_levels(levels).built(order)
+def _mobius_solve(op: _Operator, v: np.ndarray) -> np.ndarray:
+    """``v @ mu`` for each row of ``v``, with mu the Moebius matrix of the
+    order of ``op``, a poset's operator (``Poset._operator``) or its
+    opposite, as Python ints.
 
-
-def _mobius_solve(order, v: np.ndarray, levels=None) -> np.ndarray:
-    """``v @ mu`` for each row of ``v``, with mu the Moebius matrix of
-    ``order``, as Python ints.
-
-    ``order`` is a poset's operator (``Poset._operator``) or its
-    opposite, or an order matrix with its ``levels`` (see
-    ``_as_operator``).  Solves ``c @ zeta = v``: c[:, y] = v[:, y] -
-    sum(c[:, z] for z < y), one level at a time (from the top down on an
-    opposite operator), where every element strictly below a level lies
-    in an earlier one.  On the identity this is the recursion mu(x, y) =
-    -sum(mu(x, z) for x <= z < y) that defines the table.  The levels
-    are solved in float64 BLAS and the answer kept only when certified
-    exact (``_solve_in_float``); else the same recursion runs again on
-    Python ints.
+    Solves ``c @ zeta = v`` by the level walk (``_level_walk``).  On the
+    identity this is the recursion mu(x, y) = -sum(mu(x, z) for x <= z <
+    y) that defines the table.  The walk runs in float64 BLAS and its
+    answer is kept only when certified exact (``_solve_in_float``); else
+    the same walk runs again on Python ints.
     """
-    op = _as_operator(order, levels)
-    c = _solve_in_float(op, None, v)
-    if c is not None:
-        return c
-    lt = op.lt > 0
-    levels = [np.arange(s, e) for s, e in op.blocks()]
+    c = _solve_in_float(op, v)
+    if c is None:
+        c = op.to_ids(_level_walk(op, op.to_levels(np.array(v, dtype=object))))
+    return c
+
+
+def _level_walk(op: _Operator, c: np.ndarray) -> np.ndarray:
+    """Solve ``c @ zeta = v`` in place, for each row v of ``c`` given in
+    the level order of ``op``: c[:, y] = v[:, y] - sum(c[:, z] for z < y),
+    one level at a time, every element strictly below a level lying in an
+    earlier one (from the top level down on an opposite operator, where
+    the elements below y are those above it in ``op.lt``).  A float64
+    ``c`` steps in BLAS, an object array of Python ints on
+    ``_int_product``; returns ``c``.
+    """
+    lt = op.lt
+    product = _int_product if c.dtype == object else np.matmul
     if op.dual:
-        lt, levels = lt.T, levels[::-1]
-    return op.to_ids(_solve_exact(lt, levels, op.to_levels(np.asarray(v))))
+        for s, e in reversed(op.blocks()):
+            c[:, s:e] -= product(c[:, e:], lt[s:e, e:].T)
+    else:
+        for s, e in op.blocks():
+            c[:, s:e] -= product(c[:, :s], lt[:s, s:e])
+    return c
 
 
-def _solve_in_float(order, levels, v) -> np.ndarray | None:
-    """The level solve of ``_mobius_solve`` in float64, or None when its
+def _solve_in_float(op: _Operator, v) -> np.ndarray | None:
+    """The level walk of ``_mobius_solve`` in float64, or None when its
     result is not certified exact.
 
     The certificate checks the result, not the arithmetic that found
@@ -289,22 +292,14 @@ def _solve_in_float(order, levels, v) -> np.ndarray | None:
     integer below 2**53, so the float equality is the exact one,
     ``c @ zeta == v``; zeta is unitriangular, so c is ``v @ mu``.
     """
-    op = _as_operator(order, levels)
     v = np.asarray(v)
     # bounded from both sides, since np.abs of int64's minimum is negative;
     # this also keeps Python ints past float64's range out of astype
     if not ((v > -_FLOAT_EXACT) & (v < _FLOAT_EXACT)).all():
         return None
     v = op.to_levels(v)
-    lt = op.lt
-    c = v.astype(np.float64)
-    dual = op.dual
-    if dual:  # c[:, y] takes the elements above y, in later levels
-        for s, e in reversed(op.blocks()):
-            c[:, s:e] -= c[:, e:] @ lt[s:e, e:].T
-    else:
-        for s, e in op.blocks():
-            c[:, s:e] -= c[:, :s] @ lt[:s, s:e]
+    lt, dual = op.lt, op.dual
+    c = _level_walk(op, v.astype(np.float64))
     # a few columns at a time, to keep the temporaries small; lt is
     # strictly upper triangular, so only one side of each block is read
     total = np.zeros(c.shape[0])
@@ -322,15 +317,16 @@ def _solve_in_float(order, levels, v) -> np.ndarray | None:
     return exact.astype(object)
 
 
-def _solve_exact(lt, levels, v) -> np.ndarray:
-    """The column recursion of ``_mobius_solve`` on Python ints."""
-    c = np.array(v, dtype=object)
-    for level in levels:
-        for y in level:
-            below = lt[:, y]
-            if below.any():
-                c[:, y] -= c[:, below].sum(axis=1)
-    return c
+def _int_product(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a`` on Python ints, exact at any size, for an object array
+    ``x`` (a vector or rows) and a 0/1 float64 block ``a`` of an
+    operator: column j of the answer sums the entries of x that column j
+    of ``a`` marks, with no multiplication.  The one place the operator
+    meets Python ints."""
+    out = np.zeros(x.shape[:-1] + a.shape[1:], dtype=object)
+    for j, marks in enumerate((a > 0).T):
+        out[..., j] = x[..., marks].sum(axis=-1)
+    return out
 
 
 def _order_sums(op: _Operator, x, at) -> np.ndarray:
@@ -342,8 +338,8 @@ def _order_sums(op: _Operator, x, at) -> np.ndarray:
     before any float conversion: every entry of the placement and of the
     product, and every partial sum formed on the way in any order, is
     the sum of a subset of x's entries, an integer float64 holds exactly.
-    The answer is then int64; otherwise it is found on Python ints and
-    handed out as an object array.
+    The answer is then int64; otherwise it is found on Python ints
+    (``_int_product``) and handed out as an object array.
     """
     x = x.tolist() if isinstance(x, np.ndarray) else list(x)
     n = len(op.perm)
@@ -356,13 +352,7 @@ def _order_sums(op: _Operator, x, at) -> np.ndarray:
     for b, value in zip(at.tolist(), x):
         w[b] += value
     w = op.to_levels(w)
-    lt = op.lt > 0
-    return op.to_ids(w + np.array(_int_product(lt if op.dual else lt.T, w), dtype=object))
-
-
-def _int_product(a: np.ndarray, x) -> list[int]:
-    """``a @ x`` on Python ints, exact at any size."""
-    return (a.astype(object) @ np.array(x, dtype=object)).tolist()
+    return op.to_ids(w + _int_product(w, op.lt.T if op.dual else op.lt))
 
 
 def _exact_dot(a, b) -> int:
@@ -394,49 +384,31 @@ def _signed_chain_counts(op: _Operator) -> np.ndarray:
     partial sum formed on the way, and every entry of E.  The bound is
     tested before a step is used; the first time it fails, counts and E,
     both still exact, turn into Python ints, and that step and the rest
-    run there.
+    run on ``_int_product``.
     """
     lt, n = op.lt, len(op.perm)
-    stops = op.bounds[-2:0:-1]  # the rows each step keeps, from the top down
     counts = np.ones(n)
     sums = counts.copy()
-    seen = n  # the sum of every count so far
-    for k, stop in enumerate(stops):
-        step = lt[:stop, : len(counts)] @ counts
+    seen = n  # the sum of every count so far, while in float64
+    for k, stop in enumerate(op.bounds[-2:0:-1]):  # the rows each step keeps
+        a = lt[:stop, : len(counts)]
+        exact = counts.dtype == object
+        step = _int_product(counts, a.T) if exact else a @ counts
         size = int(step.sum())  # exact below 2**53, at least 2**53 when the true sum is
         if not size:  # no chain this long, so none longer
             break
         seen += size
-        if not seen < _FLOAT_EXACT:
-            return _freeze(op.to_ids(_chain_steps_on_ints(lt, stops[k:], k, counts, sums)))
+        if not (exact or seen < _FLOAT_EXACT):
+            counts, sums = (w.astype(np.int64).astype(object) for w in (counts, sums))
+            step = _int_product(counts, a.T)
         if k % 2:
             sums[:stop] += step
         else:
             sums[:stop] -= step
         counts = step
-    return _freeze(op.to_ids(sums.astype(np.int64).astype(object)))
-
-
-def _chain_steps_on_ints(lt, stops, k, counts, sums) -> np.ndarray:
-    """The steps of ``_signed_chain_counts`` from step k on, on Python
-    ints, taking over its exact float64 counts and sums."""
-    counts = counts.astype(np.int64).tolist()
-    sums = sums.astype(np.int64).astype(object)
-    sign = 1 if k % 2 else -1
-    for stop in stops:
-        counts = _int_product(lt[:stop, : len(counts)] > 0, counts)
-        sums[:stop] += sign * np.array(counts, dtype=object)
-        sign = -sign
-    return sums
-
-
-def _chi_by_chains(order, weights) -> int:
-    """The sum over strict chains x0 < ... < xk of (-1)**k * weights[x0]:
-    the exact dot of the weights with the signed chain counts of
-    ``order``, a poset's operator (not its opposite) or an order matrix,
-    as for ``_mobius_solve`` (see ``_signed_chain_counts``)."""
-    weights = [operator.index(w) for w in weights]
-    return _exact_dot(weights, _signed_chain_counts(_as_operator(order)))
+    if sums.dtype != object:
+        sums = sums.astype(np.int64).astype(object)
+    return _freeze(op.to_ids(sums))
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:

@@ -132,19 +132,25 @@ def mobius_by_recursion(n, leq_pairs):
     return {(x, y): mu(x, y) for x in range(n) for y in range(n)}
 
 
-def mobius_by_columns(leq):
-    """The full Moebius matrix of an order matrix, filled column by column
-    in topological order with mu(x, x) = 1 and
-    mu(x, y) = -sum(mu(x, z) for x <= z < y), on Python ints."""
+def solve_by_columns(leq, v):
+    """c with c @ zeta = v for each row of v, zeta being the order matrix
+    leq, on Python ints: filled column by column in topological order,
+    c[:, y] = v[:, y] - sum(c[:, z] for z < y).  No levels, no floats."""
     n = leq.shape[0]
-    mu = np.zeros((n, n), dtype=object)
+    c = np.array(v, dtype=object)
     lt = leq & ~np.eye(n, dtype=bool)
     for y in np.argsort(leq.sum(axis=0), kind="stable"):
         below = lt[:, y]
         if below.any():
-            mu[:, y] = -mu[:, below].sum(axis=1)
-        mu[y, y] = 1
-    return mu
+            c[:, y] -= c[:, below].sum(axis=1)
+    return c
+
+
+def mobius_by_columns(leq):
+    """The full Moebius matrix of an order matrix: the column recursion
+    mu(x, y) = -sum(mu(x, z) for x <= z < y) with mu(x, x) = 1, which is
+    ``solve_by_columns`` on the identity."""
+    return solve_by_columns(leq, np.eye(leq.shape[0], dtype=np.int64))
 
 
 def beat_points_by_definition(members, leq_pairs):

@@ -74,6 +74,21 @@ def antichain(k: int) -> Poset:
     return Poset.from_covers(k, [])
 
 
+def ordinal_sum_of_antichains(layers: int, width: int) -> Poset:
+    """``layers`` antichains of ``width``, every element of each below
+    every element of the next; element x lies in layer x // width.  An
+    element of layer j has E = R = (-(width - 1))**(layers - 1 - j)."""
+    return Poset.from_covers(
+        layers * width,
+        [
+            (k * width + i, (k + 1) * width + j)
+            for k in range(layers - 1)
+            for i in range(width)
+            for j in range(width)
+        ],
+    )
+
+
 def diamond() -> Poset:
     """Bottom 0, incomparable middles 1 and 2, top 3."""
     return Poset.from_covers(4, [(0, 1), (0, 2), (1, 3), (2, 3)])

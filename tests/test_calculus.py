@@ -44,9 +44,8 @@ from eulerscan import (
 from cliharness import DATA, GOLDEN, run_cli
 from eulerscan.poset import (
     ElementSet,
-    _chi_by_chains,
+    _exact_dot,
     _Operator,
-    _levels,
     _mobius_solve,
     _solve_in_float,
 )
@@ -673,20 +672,20 @@ def test_zeta_solve_and_weighted_chain_count_match_oracles(seed, data):
     mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
     values = st.one_of(INT64_EDGES, st.integers(-5, 5))
     h = data.draw(st.lists(values, min_size=n, max_size=n))
-    levels = p._level_sets()
-    table = _mobius_solve(p.leq, np.eye(n, dtype=np.int64), levels).tolist()
+    op = p._operator()
+    table = _mobius_solve(op, np.eye(n, dtype=np.int64)).tolist()
     assert table == [[mu[(x, y)] for y in range(n)] for x in range(n)]
     ones = np.ones((1, n), dtype=object)
     column_sums = [sum(mu[(x, y)] for x in range(n)) for y in range(n)]
     row_sums = [sum(mu[(x, y)] for y in range(n)) for x in range(n)]
-    assert _mobius_solve(p.leq, ones, levels)[0].tolist() == column_sums
+    assert _mobius_solve(op, ones)[0].tolist() == column_sums
     assert p._row_sums().tolist() == row_sums
     coefficients = [sum(h[x] * mu[(x, y)] for x in range(n)) for y in range(n)]
     rows = np.array([h], dtype=object)
-    assert _mobius_solve(p.leq, rows, levels)[0].tolist() == coefficients
+    assert _mobius_solve(op, rows)[0].tolist() == coefficients
     # the Fubini identity behind the excursion route holds for any h
     dot = sum(v * r for v, r in zip(h, row_sums))
-    assert _chi_by_chains(p.leq, h) == dot == integrate(PosetFunction(p, h))
+    assert _exact_dot(h, p._chain_sums()) == dot == integrate(PosetFunction(p, h))
 
 
 # the two sides of the float solve's bound, and the int64 extremes
@@ -718,12 +717,11 @@ def test_float_level_solve_is_kept_exactly_when_its_certificate_holds(
     )
     v = np.array(rows, dtype=np.int64 if as_int64 else object).reshape(len(rows), n)
     expect = [[sum(row[x] * mu[(x, y)] for x in range(n)) for y in range(n)] for row in rows]
-    assert _mobius_solve(p.leq, v, p._level_sets()).tolist() == expect
+    assert _mobius_solve(p._operator(), v).tolist() == expect
     certified = all(abs(a) < 2**53 for row in rows for a in row) and all(
         sum(map(abs, row)) < 2**53 for row in expect
     )
-    lt = p.leq & ~np.eye(n, dtype=bool)
-    guess = _solve_in_float(lt, _levels(lt), v)
+    guess = _solve_in_float(p._operator(), v)
     assert (guess is not None) == certified
     if certified:
         assert guess.tolist() == expect
@@ -740,9 +738,8 @@ def test_float_level_solve_is_kept_exactly_when_its_certificate_holds(
 )
 def test_values_past_the_float_bound_go_straight_to_python_ints(value):
     p = posetzoo.chain(1)
-    lt = np.zeros((1, 1), dtype=bool)
-    assert _solve_in_float(lt, _levels(lt), value) is None
-    assert _mobius_solve(p.leq, value, p._level_sets()).tolist() == [[int(value[0, 0])]]
+    assert _solve_in_float(p._operator(), value) is None
+    assert _mobius_solve(p._operator(), value).tolist() == [[int(value[0, 0])]]
     h = PosetFunction(posetzoo.chain(2), [-(2**63), 0])
     assert [c for c, _ in mobius_coefficients(h).terms] == [-(2**63), 2**63]
 
@@ -750,7 +747,7 @@ def test_values_past_the_float_bound_go_straight_to_python_ints(value):
 def test_network_readers_take_the_float_level_solve(monkeypatch):
     net = random_network([30] * 8, 0.1, 40, 1605)
     p = net.poset
-    _refuse(monkeypatch, "_solve_exact")
+    _refuse(monkeypatch, "_int_product")
     assert p.euler_characteristic() == p.euler_characteristic_by_chains()
     assert integrate(net.counting) == 40
     layers = posetzoo.chain(8)
@@ -779,7 +776,7 @@ def test_chain_count_exact_at_the_int64_step_bound(p, weights):
     n = p.n
     mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
     row_sums = [sum(mu[(x, y)] for y in range(n)) for x in range(n)]
-    assert _chi_by_chains(p.leq, weights) == sum(
+    assert _exact_dot(weights, p._chain_sums()) == sum(
         w * r for w, r in zip(weights, row_sums)
     )
 
@@ -821,7 +818,7 @@ def test_chain_count_exact_at_the_float_step_bound(monkeypatch, p, weights, pyth
     n = p.n
     mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
     row_sums = [sum(mu[(x, y)] for y in range(n)) for x in range(n)]
-    assert _chi_by_chains(p.leq, weights) == sum(
+    assert _exact_dot(weights, p._chain_sums()) == sum(
         w * r for w, r in zip(weights, row_sums)
     )
     assert len(steps) == python_steps
@@ -836,6 +833,40 @@ def test_network_readers_take_the_float_chain_and_mask_steps(monkeypatch):
     f = PosetMap(p, layers, [x // 30 for x in range(p.n)])
     assert integrate(pushforward(f, net.counting)) == 40
     assert is_chi_distinguished(PosetMap.identity(p))
+
+
+def test_transports_and_table_past_the_float_bound_run_on_python_ints(monkeypatch):
+    # 70 layers of 3: R(x) = (-2)**(69 - layer), so the row sums leave
+    # float64's exact integers and every exact product below runs on
+    # Python ints, the transports over prime filters on the opposite
+    # operator of the codomain
+    p = posetzoo.ordinal_sum_of_antichains(70, 3)
+    r = p._row_sums()
+    assert r.tolist() == [(-2) ** (69 - x // 3) for x in range(p.n)]
+    layers = posetzoo.chain(70)
+    products = []
+
+    def counted(original):
+        def call(x, a):
+            products.append(x.shape)
+            return original(x, a)
+
+        return call
+
+    _wrap(monkeypatch, "_int_product", counted)
+    # every prime filter has a least element, so chi 1
+    assert is_chi_distinguished(PosetMap.identity(p))
+    assert products == [(p.n,)]
+    # the preimage of layer k's prime filter is the top 70 - k layers,
+    # with chi 1 - (-2)**(70 - k)
+    f = PosetMap(p, layers, [x // 3 for x in range(p.n)])
+    assert not is_chi_distinguished(f)
+    assert products == [(p.n,), (layers.n,)]
+    # the full table: the certificate fails and the walk runs again on
+    # Python ints, one product per level, on every row at once
+    products.clear()
+    assert np.array_equal(p.mobius().mu, oracles.mobius_by_columns(p.leq))
+    assert products == [(p.n, 3 * k) for k in range(70)]
 
 
 def test_excursion_agrees_with_mobius_and_naive_levels():

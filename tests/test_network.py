@@ -77,12 +77,6 @@ BAD_TARGETS = [
     # (b1, t1) is a 2-step relation, not a cover edge
     (TargetPosition.on_edge(7, 0), "target edge (7, 0) is not a cover of the poset"),
     (TargetPosition(kind="edge"), "target edge (-1, -1) is not a cover of the poset"),
-    # edges that are no pair, ragged against the others or not
-    (TargetPosition(kind="edge", edge=(7, 3, 0)), "target edge (7, 3, 0) is not a cover of the poset"),
-    (
-        TargetPosition(kind="edge", edge=(7, 3, 3, 0)),
-        "target edge (7, 3, 3, 0) is not a cover of the poset",
-    ),
 ]
 
 
@@ -92,6 +86,42 @@ def test_counting_function_names_the_bad_target(trellis, bad, message):
     for positions in ([bad], good + [bad], [bad] + good):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             counting_function(trellis, TargetSet(tuple(positions)))
+
+
+BAD_POSITIONS = {
+    "kind-plural": (
+        lambda: TargetPosition("nodes", 1),
+        "target kind 'nodes' is neither 'node' nor 'edge'",
+    ),
+    "kind-capital": (
+        lambda: TargetPosition("Edge", edge=(7, 3)),
+        "target kind 'Edge' is neither 'node' nor 'edge'",
+    ),
+    "kind-not-a-string": (
+        lambda: TargetPosition(0, 1),
+        "target kind 0 is neither 'node' nor 'edge'",
+    ),
+    # edges that are no pair
+    "edge (7,)": (
+        lambda: TargetPosition("edge", edge=(7,)),
+        "target edge (7,) does not name two ids",
+    ),
+    "edge (7, 3, 0)": (
+        lambda: TargetPosition("edge", edge=(7, 3, 0)),
+        "target edge (7, 3, 0) does not name two ids",
+    ),
+    "edge (7, 3, 3, 0)": (
+        lambda: TargetPosition("edge", edge=(7, 3, 3, 0)),
+        "target edge (7, 3, 3, 0) does not name two ids",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_POSITIONS))
+def test_target_positions_check_their_kind_and_edge(site):
+    make, message = BAD_POSITIONS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 def test_counting_function_raises_at_the_first_bad_target_in_order(trellis):

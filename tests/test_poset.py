@@ -372,9 +372,9 @@ def test_row_sums_are_solved_once_and_shared_read_only(trellis):
     assert not r.flags.writeable
     with pytest.raises(ValueError):
         r[0] = 5
-    lt = trellis.leq & ~np.eye(trellis.n, dtype=bool)
     ones = np.ones((1, trellis.n), dtype=object)
-    assert r.tolist() == _mobius_solve(trellis.leq.T, ones, _levels(lt.T))[0].tolist()
+    reversed_order = Poset(trellis.n, None, trellis.leq.T)
+    assert r.tolist() == _mobius_solve(reversed_order._operator(), ones)[0].tolist()
     assert trellis.euler_characteristic() == sum(r) == 1
 
 
@@ -390,21 +390,11 @@ def test_exact_object_arithmetic_above_int64_threshold():
         assert {type(v) for v in q.zeta().flat} == {int}
 
 
-def _ordinal_sum_of_antichains(layers, width):
-    covers = [
-        (k * width + i, (k + 1) * width + j)
-        for k in range(layers - 1)
-        for i in range(width)
-        for j in range(width)
-    ]
-    return Poset.from_covers(layers * width, covers)
-
-
 def test_both_chi_routes_exact_past_int64():
     # 40 layers of 3: 4**40 - 1 chains, far past int64; a chain picks a
     # non-empty set of layers and one element in each, so
     # chi = sum over k of -(-3)**k * C(40, k) = 1 - (1 - 3)**40
-    p = _ordinal_sum_of_antichains(40, 3)
+    p = posetzoo.ordinal_sum_of_antichains(40, 3)
     assert p.n == 120
     expect = 1 - (1 - 3) ** 40
     assert expect == -1099511627775
@@ -413,7 +403,7 @@ def test_both_chi_routes_exact_past_int64():
     assert p.euler_characteristic() == expect
     # chi itself fits int64 above, so counts taken mod 2**64 could still
     # land on it; at 70 layers chi and mu leave int64 too
-    p = _ordinal_sum_of_antichains(70, 3)
+    p = posetzoo.ordinal_sum_of_antichains(70, 3)
     expect = 1 - 2**70
     assert p.euler_characteristic_by_chains() == p.chi_of(range(p.n)) == expect
     assert p.euler_characteristic() == expect
@@ -445,7 +435,7 @@ def test_closure_and_covers_match_boolean_products():
         assert [a.tolist() for a in p._level_sets()] == [a.tolist() for a in _levels(lt)]
         # R from the reversed held levels, and from a fresh pass on lt.T
         ones = np.ones((1, n), dtype=object)
-        fresh = _mobius_solve(reach.T, ones, _levels(lt.T))[0]
+        fresh = _mobius_solve(Poset(n, None, reach.T)._operator(), ones)[0]
         assert p._row_sums().tolist() == fresh.tolist()
         if n >= 2:
             a, b = np.argwhere(lt)[0].tolist() if lt.any() else (0, 1)
@@ -599,19 +589,6 @@ def test_held_chain_counts_are_read_only():
     assert p._chain_sums() is e
 
 
-def _layered(width, layers):
-    """Every element of each antichain layer below every one of the next."""
-    return Poset.from_covers(
-        width * layers,
-        [
-            (a, b)
-            for j in range(layers - 1)
-            for a in range(j * width, (j + 1) * width)
-            for b in range((j + 1) * width, (j + 2) * width)
-        ],
-    )
-
-
 @pytest.mark.parametrize(
     "p, expect, python_steps",
     [
@@ -625,7 +602,11 @@ def _layered(width, layers):
         (posetzoo.chain(54), [0] * 53 + [1], 28),
         # 4**40 - 1 chains; an element of layer j has E = (-2)**(39 - j)
         # and chi is -(2**40 - 1), from step 12 on in Python ints
-        (_layered(3, 40), [(-2) ** (39 - x // 3) for x in range(120)], 28),
+        (
+            posetzoo.ordinal_sum_of_antichains(40, 3),
+            [(-2) ** (39 - x // 3) for x in range(120)],
+            28,
+        ),
     ],
     ids=["chain-below", "chain-and-point-at", "chain-past", "layers-past"],
 )
@@ -647,7 +628,7 @@ def test_signed_chain_counts_exact_across_2_53(monkeypatch, p, expect, python_st
 
 def test_chi_of_layers_cut_from_forty():
     # an ordinal sum of m antichains of 3 has chi 1 - (-2)**m
-    p = _layered(3, 40)
+    p = posetzoo.ordinal_sum_of_antichains(40, 3)
     assert p.euler_characteristic_by_chains() == -(2**40 - 1)
     assert p.chi_of(range(3, 120)) == 2**39 + 1
     assert p.chi_of(np.arange(60, 120)) == 1 - 2**20
@@ -717,19 +698,20 @@ def test_non_isomorphic_same_signature_counts():
 
 def test_ordinal_sums_past_the_float_bound_fall_back_to_python_ints(monkeypatch):
     # chi = 1 - 2**70: the row sums leave float64's exact integers, so
-    # the certificate fails and the Python-int recursion answers
+    # the certificate fails and the level walk runs again on Python ints
     calls = []
-    exact = poset_module._solve_exact
+    walk = poset_module._level_walk
 
-    def counted(*args):
-        calls.append(args[2].shape)
-        return exact(*args)
+    def counted(op, c):
+        if c.dtype == object:
+            calls.append(c.shape)
+        return walk(op, c)
 
-    monkeypatch.setattr(poset_module, "_solve_exact", counted)
-    p = _ordinal_sum_of_antichains(70, 3)
+    monkeypatch.setattr(poset_module, "_level_walk", counted)
+    p = posetzoo.ordinal_sum_of_antichains(70, 3)
     assert p.euler_characteristic() == 1 - 2**70
     assert calls == [(1, p.n)]
-    small = _ordinal_sum_of_antichains(20, 3)
+    small = posetzoo.ordinal_sum_of_antichains(20, 3)
     assert small.euler_characteristic() == 1 - (1 - 3) ** 20
     assert calls == [(1, p.n)]  # well inside 2**53: the float solve answered
 

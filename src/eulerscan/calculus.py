@@ -7,10 +7,10 @@ of the chosen combination.  The canonical combination used here comes
 from Moebius inversion over prime filters, which works for arbitrary
 integer functions (corrupted sensor readings included); the integral is
 h . R, with R the Moebius row sums.  R and the Moebius coefficients
-h @ mu come from the poset's level solve, certified float64 or Python
-ints (see ``eulerscan.poset``), and the transports sum them onto the
-images and then over prime ideals or filters, one exact product with
-the codomain's held operator.  Monotone
+h @ mu come from the poset's level solve, float64 certified by its
+2**53 sum bound or Python ints (see ``eulerscan.poset``), and the
+transports sum them onto the images and then over prime ideals or
+filters, one exact product with the codomain's held operator.  Monotone
 non-negative functions also admit the excursion-set decomposition, kept
 as an independent, mu-free cross-check route: h . E, with E the
 poset's signed chain counts (chains counted by their bottoms, exact),

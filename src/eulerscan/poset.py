@@ -42,24 +42,41 @@ parent's levels cut to the members, which need no Kahn pass.
 All counting arithmetic is exact, in two tiers that run the same code:
 float64 BLAS, and Python ints, which every product with the operator
 takes through one function, ``_int_product`` (column masks and sums).
-A solve is one level walk (``_level_walk``), run in float64 first and
-kept only when one exact check of the result certifies it: |v| < 2**53,
-sum(|c|) < 2**53 along each row of the answer c, and ``c + c @ lt ==
-v`` in float64, a product of its own, which under those bounds is the
-integer identity ``c @ zeta == v``.  Otherwise the same walk runs again
-on Python ints, the only path for answers past 2**53.  The solves and
-the zeta and Moebius matrices hand out Python-int object arrays at
-every size.  A 0/1 matrix times an integer vector (a chain count step,
-a transport) runs in float64 BLAS when the vector's absolute values sum
-below 2**53, tested on the exact values before any float conversion:
-then every entry and partial sum of the product is the sum of some of
-the vector's entries, an integer float64 holds exactly.  Otherwise it
-runs on Python ints.  Transports make one such exact ``_order_sums``.
-The chain count starts from all ones, so its counts stay non-negative;
-its one loop steps in float64 while the sum of every count so far is
-below 2**53, which bounds each entry of a step and of E, and turns
-counts and E into Python ints the first time the bound fails.  The
-counting products of the order walk and the cover matrix run in
+The float64 tier has one exactness rule for its three users, the
+solve, the chain count and the transport: a product of the 0/1 operator
+with integers is trusted in float64 only when the absolute values it
+can add sum below 2**53, and is otherwise taken on Python ints.  It
+rests on one lemma.  float64 adds integers exactly, in any order, while
+every partial sum stays below 2**53; and for non-negative integers the
+float64 sum, in any order, is at least min(true sum, 2**53), since
+rounding is monotone and 2**53 is a float.  So a float total of |x|
+below 2**53 proves the true total below 2**53, and then every entry of
+the product, and every partial sum BLAS forms on the way, is an exact
+sum of some of those values.  The argument assumes only that each BLAS
+partial sum adds some entries of one row.
+
+A transport (``_order_sums``) tests sum(|x|) on the Python ints before
+any float conversion.  The chain count (``_signed_chain_counts``)
+starts from all ones, so its counts stay non-negative, and steps in
+float64 while the float total of every count so far is below 2**53,
+which bounds every entry of the next step and of E; the first time it
+fails, counts and E, still exact, turn into Python ints.  A solve
+(``_mobius_solve``) runs the level walk (``_level_walk``) in float64
+when |v| < 2**53, and keeps the answer c when the float total of |c|
+along each row is below 2**53.  That bound alone certifies the walk, by
+induction over levels.  While the earlier levels are exact, each entry
+and partial sum of their product p = ``c[:, :s] @ lt[:s, s:e]`` adds
+some of one row's earlier entries, so it is exact unless that row's
+total passes 2**53; and ``v - p``, with |v| and |p| below 2**53,
+rounds only when the true |c_y| passes 2**53, leaving a computed |c_y|
+of at least 2**53.  Either way the first level that rounds leaves a row whose
+float total is at least 2**53, so a passing bound means no level
+rounded.  The opposite walk, from the top level down, is the same
+argument.  Otherwise the same walk runs again on Python ints, the only
+path for answers past 2**53.  The solves and the zeta and Moebius
+matrices hand out Python-int object arrays at every size.
+
+The counting products of the order walk and the cover matrix run in
 float32, where every entry is a count below 2**24.
 """
 
@@ -90,7 +107,6 @@ def _bool_square(a: np.ndarray) -> np.ndarray:
 
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
-_CHECK_COLUMNS = 64  # columns per product of the residual check
 
 
 def _check_cover(a: int, b: int, n: int) -> tuple[int, int]:
@@ -250,14 +266,20 @@ def _mobius_solve(op: _Operator, v: np.ndarray) -> np.ndarray:
 
     Solves ``c @ zeta = v`` by the level walk (``_level_walk``).  On the
     identity this is the recursion mu(x, y) = -sum(mu(x, z) for x <= z <
-    y) that defines the table.  The walk runs in float64 BLAS and its
-    answer is kept only when certified exact (``_solve_in_float``); else
-    the same walk runs again on Python ints.
+    y) that defines the table.  The walk runs in float64 BLAS when
+    |v| < 2**53, and its answer c is kept when sum(|c|) < 2**53 along
+    every row, which alone proves every level exact (the exactness rule
+    of the module docstring); else the same walk runs again on Python
+    ints.
     """
-    c = _solve_in_float(op, v)
-    if c is None:
-        c = op.to_ids(_level_walk(op, op.to_levels(np.array(v, dtype=object))))
-    return c
+    v = np.asarray(v)
+    # bounded from both sides, since np.abs of int64's minimum is negative;
+    # this also keeps Python ints past float64's range out of astype
+    if ((v > -_FLOAT_EXACT) & (v < _FLOAT_EXACT)).all():
+        c = _level_walk(op, op.to_levels(v).astype(np.float64))
+        if (np.abs(c).sum(axis=1) < _FLOAT_EXACT).all():  # false on inf and nan
+            return op.to_ids(c.astype(np.int64)).astype(object)
+    return op.to_ids(_level_walk(op, op.to_levels(np.array(v, dtype=object))))
 
 
 def _level_walk(op: _Operator, c: np.ndarray) -> np.ndarray:
@@ -280,43 +302,6 @@ def _level_walk(op: _Operator, c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _solve_in_float(op: _Operator, v) -> np.ndarray | None:
-    """The level walk of ``_mobius_solve`` in float64, or None when its
-    result is not certified exact.
-
-    The certificate checks the result, not the arithmetic that found
-    it: |v| < 2**53, sum(|c|) < 2**53 along every row of c, and
-    ``c + c @ lt == v`` in float64, taken as its own product.  Under the
-    bound each entry of ``c @ lt``, and each partial sum formed on the
-    way in any order, is the sum of some entries of one row of c, an
-    integer below 2**53, so the float equality is the exact one,
-    ``c @ zeta == v``; zeta is unitriangular, so c is ``v @ mu``.
-    """
-    v = np.asarray(v)
-    # bounded from both sides, since np.abs of int64's minimum is negative;
-    # this also keeps Python ints past float64's range out of astype
-    if not ((v > -_FLOAT_EXACT) & (v < _FLOAT_EXACT)).all():
-        return None
-    v = op.to_levels(v)
-    lt, dual = op.lt, op.dual
-    c = _level_walk(op, v.astype(np.float64))
-    # a few columns at a time, to keep the temporaries small; lt is
-    # strictly upper triangular, so only one side of each block is read
-    total = np.zeros(c.shape[0])
-    for j in range(0, c.shape[1], _CHECK_COLUMNS):
-        k = j + _CHECK_COLUMNS
-        block = c[:, j:k]
-        total += np.abs(block).sum(axis=1)
-        step = c[:, j:] @ lt[j:k, j:].T if dual else c[:, :k] @ lt[:k, j:k]
-        if not np.array_equal(block + step, v[:, j:k]):
-            return None
-    if not (total < _FLOAT_EXACT).all():  # also false on inf and nan
-        return None
-    exact = op.to_ids(c.astype(np.int64))
-    del c  # one float copy fewer alive beside the object array
-    return exact.astype(object)
-
-
 def _int_product(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``x @ a`` on Python ints, exact at any size, for an object array
     ``x`` (a vector or rows) and a 0/1 float64 block ``a`` of an
@@ -335,11 +320,9 @@ def _order_sums(op: _Operator, x, at) -> np.ndarray:
     on the elements ``at`` and carried up the order.
 
     Runs in float64 BLAS when sum(|x|) < 2**53, tested on the Python ints
-    before any float conversion: every entry of the placement and of the
-    product, and every partial sum formed on the way in any order, is
-    the sum of a subset of x's entries, an integer float64 holds exactly.
-    The answer is then int64; otherwise it is found on Python ints
-    (``_int_product``) and handed out as an object array.
+    before any float conversion (the exactness rule of the module
+    docstring), and the answer is then int64; otherwise it is found on
+    Python ints (``_int_product``) and handed out as an object array.
     """
     x = x.tolist() if isinstance(x, np.ndarray) else list(x)
     n = len(op.perm)
@@ -378,13 +361,13 @@ def _signed_chain_counts(op: _Operator) -> np.ndarray:
     step k reads only the rows below the last k levels and the columns
     the previous step filled, and counts shrinks as the chains grow; a
     step with no chains left ends the pass.  E adds the steps with
-    alternating signs.  While the running sum of every count so far is
-    below 2**53, each step is one float64 BLAS product: counts are
-    non-negative, so that sum bounds every entry of the next step, every
-    partial sum formed on the way, and every entry of E.  The bound is
-    tested before a step is used; the first time it fails, counts and E,
-    both still exact, turn into Python ints, and that step and the rest
-    run on ``_int_product``.
+    alternating signs.  Each step is one float64 BLAS product while the
+    running total of every count so far is below 2**53 (the exactness
+    rule of the module docstring: counts are non-negative, so that total
+    bounds every entry of the next step and of E).  The bound is tested
+    before a step is used; the first time it fails, counts and E, still
+    exact, turn into Python ints, and that step and the rest run on
+    ``_int_product``.
     """
     lt, n = op.lt, len(op.perm)
     counts = np.ones(n)

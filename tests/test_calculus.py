@@ -47,7 +47,6 @@ from eulerscan.poset import (
     _exact_dot,
     _Operator,
     _mobius_solve,
-    _solve_in_float,
 )
 from posetzoo import B2, B3, M1, M2, M4, T1, T2, T3, TRELLIS_H
 
@@ -501,6 +500,22 @@ def _refuse(monkeypatch, name):
     _wrap(monkeypatch, name, lambda original: refuse)
 
 
+def _walk_dtypes(monkeypatch) -> list[str]:
+    """Spy on ``_level_walk``: the returned list gains the dtype of each
+    walk as it runs, "float64" or "object"."""
+    walks = []
+
+    def spy(walk):
+        def counted(op, c):
+            walks.append(str(c.dtype))
+            return walk(op, c)
+
+        return counted
+
+    _wrap(monkeypatch, "_level_walk", spy)
+    return walks
+
+
 def test_chain_and_excursion_routes_never_touch_moebius(monkeypatch):
     # fresh posets, so no cached table can answer for the recursion
     trellis = posetzoo.trellis()
@@ -717,15 +732,15 @@ def test_float_level_solve_is_kept_exactly_when_its_certificate_holds(
     )
     v = np.array(rows, dtype=np.int64 if as_int64 else object).reshape(len(rows), n)
     expect = [[sum(row[x] * mu[(x, y)] for x in range(n)) for y in range(n)] for row in rows]
-    assert _mobius_solve(p._operator(), v).tolist() == expect
+    with pytest.MonkeyPatch.context() as mp:
+        walks = _walk_dtypes(mp)
+        c = _mobius_solve(p._operator(), v)
+    assert c.tolist() == expect
+    assert {type(a) for row in c.tolist() for a in row} <= {int}
     certified = all(abs(a) < 2**53 for row in rows for a in row) and all(
         sum(map(abs, row)) < 2**53 for row in expect
     )
-    guess = _solve_in_float(p._operator(), v)
-    assert (guess is not None) == certified
-    if certified:
-        assert guess.tolist() == expect
-        assert {type(c) for row in guess.tolist() for c in row} <= {int}
+    assert (walks == ["float64"]) == certified
 
 
 @pytest.mark.parametrize(
@@ -736,10 +751,11 @@ def test_float_level_solve_is_kept_exactly_when_its_certificate_holds(
     [np.array([[-(2**63)]], dtype=np.int64), np.array([[2**1100]], dtype=object)],
     ids=["int64-min", "past-float64"],
 )
-def test_values_past_the_float_bound_go_straight_to_python_ints(value):
+def test_values_past_the_float_bound_go_straight_to_python_ints(monkeypatch, value):
     p = posetzoo.chain(1)
-    assert _solve_in_float(p._operator(), value) is None
+    walks = _walk_dtypes(monkeypatch)
     assert _mobius_solve(p._operator(), value).tolist() == [[int(value[0, 0])]]
+    assert walks == ["object"]
     h = PosetFunction(posetzoo.chain(2), [-(2**63), 0])
     assert [c for c, _ in mobius_coefficients(h).terms] == [-(2**63), 2**63]
 
@@ -757,6 +773,43 @@ def test_network_readers_take_the_float_level_solve(monkeypatch):
 
 
 V_SHAPE = Poset.from_covers(3, [(0, 2), (1, 2)])  # two minima under one maximum
+# one minimum under two maxima: its opposite order is the V-shape
+LAMBDA = Poset.from_covers(3, [(2, 0), (2, 1)])
+
+
+# The V-shape's solve is c = [v0, v1, v2 - v0 - v1], and every v here is
+# below 2**53, so only the bound on the row's sum(|c|) picks the tier.
+@pytest.mark.parametrize("opposite", [False, True], ids=["zeta", "opposite"])
+@pytest.mark.parametrize(
+    "v, expect, walks",
+    [
+        # c sums to 2**53 + 3: float64 rounds v0 + v1 = 2**53 + 1 down to
+        # 2**53 and reads -1 at the top, with no entry past 2**53 and,
+        # summed bottom first, a float total of |c| of exactly 2**53
+        ([2**52 + 1, 2**52, 2**53 - 1], [2**52 + 1, 2**52, -2], ["float64", "object"]),
+        # c sums to 2**53 + 3: float64 rounds v2 - v0 - v1 = 2**53 + 1 down
+        # to 2**53; read top first, as the opposite order's level order
+        # has it, the float total of |c| is again exactly 2**53
+        ([-1, -1, 2**53 - 1], [-1, -1, 2**53 + 1], ["float64", "object"]),
+        # c sums to 2**53 - 1
+        ([2**52, 2**52 - 2, 2**53 - 1], [2**52, 2**52 - 2, 1], ["float64"]),
+        # c sums to 2**53: exact in float64, but past the bound
+        ([2**52, 2**52 - 1, 2**53 - 2], [2**52, 2**52 - 1, -1], ["float64", "object"]),
+    ],
+    ids=["rounded", "rounded-at-top", "sum-below-2**53", "sum-at-2**53"],
+)
+def test_float_solve_keeps_exactly_the_rows_below_its_sum_bound(
+    monkeypatch, opposite, v, expect, walks
+):
+    op = LAMBDA._operator().opposite() if opposite else V_SHAPE._operator()
+    seen = _walk_dtypes(monkeypatch)
+    assert _mobius_solve(op, np.array([v], dtype=np.int64)).tolist() == [expect]
+    assert seen == walks
+    # a small row beside it changes neither the tier nor its answer
+    seen.clear()
+    rows = np.array([[-3, 1, 0], v], dtype=object)
+    assert _mobius_solve(op, rows).tolist() == [[-3, 1, 2], expect]
+    assert seen == walks
 
 
 @pytest.mark.parametrize(

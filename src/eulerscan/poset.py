@@ -34,10 +34,11 @@ a level lies in an earlier one, so the matrix is strictly upper
 block-triangular, and each level of a solve, each chain step and each
 transport is one BLAS product on contiguous slices; the opposite order
 reads the same matrix transposed, from the top level down.  Ids stay
-public: vectors are permuted into level order on the way in and back
-on the way out.  The levels are the antichain levels of the order, or,
-for a subposet of a poset that holds its levels or operator, the
-parent's levels cut to the members, which need no Kahn pass.
+public, moved to positions on the way in and back on the way out.  A
+subposet reads its root's matrix through a mask of its members'
+positions (the root's levels cut to them are still antichains), and
+every walk zeroes the positions outside the mask after each level or
+chain step, so they add nothing to any product or to any bound below.
 
 All counting arithmetic is exact, in two tiers that run the same code:
 float64 BLAS, and Python ints, which every product with the operator
@@ -57,10 +58,10 @@ partial sum adds some entries of one row.
 
 A transport (``_order_sums``) tests sum(|x|) on the Python ints before
 any float conversion.  The chain count (``_signed_chain_counts``)
-starts from all ones, so its counts stay non-negative, and steps in
-float64 while the float total of every count so far is below 2**53,
-which bounds every entry of the next step and of E; the first time it
-fails, counts and E, still exact, turn into Python ints.  A solve
+starts from ones on the elements, so its counts stay non-negative, and
+steps in float64 while the float total of every count so far is below
+2**53, which bounds every entry of the next step and of E; the first
+time it fails, counts and E, still exact, turn into Python ints.  A solve
 (``_mobius_solve``) runs the level walk (``_level_walk``) in float64
 when |v| < 2**53, and keeps the answer c when the float total of |c|
 along each row is below 2**53.  That bound alone certifies the walk, by
@@ -192,71 +193,67 @@ def _close(adj: np.ndarray, levels) -> tuple[np.ndarray, list[tuple[int, int]]]:
 
 @dataclass(frozen=True, eq=False)
 class _Operator:
-    """The strict order of one poset in level order, as a float64 operator.
+    """The strict order of one poset in level order, as a float64 operator
+    (see the module docstring).
 
-    ``perm`` lists the element ids level by level, level k taking the
-    positions ``bounds[k]:bounds[k + 1]``, and ``lt[i, j]`` is 1.0 iff
-    ``perm[i] < perm[j]``.  A level is an antichain with every element
-    strictly below it in earlier levels, so ``lt`` is strictly upper
-    block-triangular: the columns of level k have entries only in the
-    rows before ``bounds[k]``, and every solve, chain step and transport
-    reads contiguous slices of one C-contiguous array.  Vectors go in
-    with :meth:`to_levels` and come out with :meth:`to_ids`.  ``lt`` is
-    None while only the level order is known (see ``Poset._operator``).
-    With ``dual`` set it stands for the opposite order: the same matrix,
-    read transposed and from the top level down (see :meth:`opposite`).
+    ``pos[x]`` is element x's position, level k takes the positions
+    ``bounds[k]:bounds[k + 1]``, and ``lt[i, j]`` is 1.0 iff the element
+    at position i is strictly below the one at j, so the columns of level
+    k have entries only in the rows before ``bounds[k]``.  Vectors go in
+    with :meth:`to_levels` and come out with :meth:`to_ids`.  On a
+    subposet, ``lt`` and ``bounds`` are its root's and ``keep`` marks its
+    members' positions (None on a root).  With ``dual`` set it stands for
+    the opposite order: the same matrix, read transposed and from the top
+    level down.
     """
 
-    perm: np.ndarray
+    pos: np.ndarray
     bounds: tuple[int, ...]
-    lt: np.ndarray | None = None
+    lt: np.ndarray
+    keep: np.ndarray | None = None
     dual: bool = False
 
     @classmethod
-    def of_levels(cls, levels) -> "_Operator":
-        """The level order of ``levels``, each an array of ids."""
-        perm = np.concatenate(levels) if levels else np.zeros(0, dtype=np.int64)
-        return cls(_freeze(perm), (0, *itertools.accumulate(map(len, levels))))
-
-    def built(self, leq: np.ndarray) -> "_Operator":
-        """This level order with its matrix, taken from the order matrix
-        ``leq`` (reflexive or strict): the one place the order turns
-        into float64."""
-        lt = leq.take(self.perm, 0).take(self.perm, 1).astype(np.float64)
+    def built(cls, leq: np.ndarray, levels) -> "_Operator":
+        """The strict order of the order matrix ``leq`` (reflexive or
+        strict) in the level order of ``levels``, each an array of ids:
+        the one place the order turns into float64."""
+        perm = np.concatenate(levels) if levels else np.zeros(0, dtype=np.intp)
+        lt = leq.take(perm, 0).take(perm, 1).astype(np.float64)
         np.fill_diagonal(lt, 0)
-        return _Operator(self.perm, self.bounds, _freeze(lt))
+        bounds = (0, *itertools.accumulate(map(len, levels)))
+        return cls(_freeze(np.argsort(perm)), bounds, _freeze(lt))  # perm's inverse
 
     def restricted(self, members: np.ndarray) -> "_Operator":
-        """The level order of the subposet on the distinct ids
-        ``members``, whose element i is members[i]: each level cut to the
-        members, empty ones dropped.  A cut level is still an antichain
-        with everything below it in earlier ones, so no Kahn pass is
-        needed, and no matrix is built until the subposet is read."""
-        sub = np.full(len(self.perm), -1)
-        sub[members] = np.arange(len(members))
-        sub = sub[self.perm]  # the subposet's id at each position, or -1
-        kept = sub >= 0
-        last = np.array(self.bounds[1:], dtype=np.intp) - 1  # each level's last position
-        cuts = [0, *np.cumsum(kept)[last].tolist()]
-        return _Operator(_freeze(sub[kept]), tuple(dict.fromkeys(cuts)))
+        """The operator of the subposet on the distinct ids ``members``
+        (its element i is members[i]): this matrix, masked to them."""
+        pos = self.pos[members]
+        keep = np.zeros(len(self.lt), dtype=bool)
+        keep[pos] = True
+        return _Operator(_freeze(pos), self.bounds, self.lt, _freeze(keep))
 
     def opposite(self) -> "_Operator":
         """The operator of the opposite order, sharing this matrix."""
-        return _Operator(self.perm, self.bounds, self.lt, not self.dual)
+        return _Operator(self.pos, self.bounds, self.lt, self.keep, not self.dual)
 
     def blocks(self):
         """The (start, stop) positions of each level, bottom first."""
         return list(zip(self.bounds, self.bounds[1:]))
 
+    def mask(self, c: np.ndarray, s: int, e: int) -> None:
+        """Zero ``c[..., s:e]`` outside the subposet, in place."""
+        if self.keep is not None:
+            c[..., s:e] *= self.keep[s:e]
+
     def to_levels(self, v: np.ndarray) -> np.ndarray:
-        """``v`` with its last axis moved from ids to level order."""
-        return v[..., self.perm]
+        """``v`` with its last axis moved from ids to level order, zero-padded."""
+        out = np.zeros(v.shape[:-1] + (len(self.lt),), dtype=v.dtype)
+        out[..., self.pos] = v
+        return out
 
     def to_ids(self, c: np.ndarray) -> np.ndarray:
         """``c`` with its last axis moved from level order back to ids."""
-        out = np.empty_like(c)
-        out[..., self.perm] = c
-        return out
+        return c[..., self.pos]
 
 
 def _mobius_solve(op: _Operator, v: np.ndarray) -> np.ndarray:
@@ -278,7 +275,9 @@ def _mobius_solve(op: _Operator, v: np.ndarray) -> np.ndarray:
     if ((v > -_FLOAT_EXACT) & (v < _FLOAT_EXACT)).all():
         c = _level_walk(op, op.to_levels(v).astype(np.float64))
         if (np.abs(c).sum(axis=1) < _FLOAT_EXACT).all():  # false on inf and nan
-            return op.to_ids(c.astype(np.int64)).astype(object)
+            c = op.to_ids(c)  # one copy a statement, each freed before the next
+            c = c.astype(np.int64)
+            return c.astype(object)
     return op.to_ids(_level_walk(op, op.to_levels(np.array(v, dtype=object))))
 
 
@@ -287,18 +286,18 @@ def _level_walk(op: _Operator, c: np.ndarray) -> np.ndarray:
     the level order of ``op``: c[:, y] = v[:, y] - sum(c[:, z] for z < y),
     one level at a time, every element strictly below a level lying in an
     earlier one (from the top level down on an opposite operator, where
-    the elements below y are those above it in ``op.lt``).  A float64
-    ``c`` steps in BLAS, an object array of Python ints on
-    ``_int_product``; returns ``c``.
+    the elements below y are those above it in ``op.lt``), each masked
+    to the subposet.  A float64 ``c`` steps in BLAS, an object array of
+    Python ints on ``_int_product``; returns ``c``.
     """
-    lt = op.lt
+    lt, blocks = op.lt, op.blocks()
     product = _int_product if c.dtype == object else np.matmul
-    if op.dual:
-        for s, e in reversed(op.blocks()):
+    for s, e in reversed(blocks) if op.dual else blocks:
+        if op.dual:
             c[:, s:e] -= product(c[:, e:], lt[s:e, e:].T)
-    else:
-        for s, e in op.blocks():
+        else:
             c[:, s:e] -= product(c[:, :s], lt[:s, s:e])
+        op.mask(c, s, e)
     return c
 
 
@@ -325,16 +324,15 @@ def _order_sums(op: _Operator, x, at) -> np.ndarray:
     Python ints (``_int_product``) and handed out as an object array.
     """
     x = x.tolist() if isinstance(x, np.ndarray) else list(x)
-    n = len(op.perm)
-    at = np.asarray(at)
+    n = len(op.lt)
+    at = op.pos[np.asarray(at, dtype=np.intp)]  # in level order
     if sum(map(abs, x)) < _FLOAT_EXACT:
-        w = op.to_levels(np.bincount(at, np.array(x, dtype=np.float64), n))
+        w = np.bincount(at, np.array(x, dtype=np.float64), n)
         y = w + (op.lt @ w if op.dual else w @ op.lt)
-        return op.to_ids(y.astype(np.int64))
+        return op.to_ids(y).astype(np.int64)
     w = np.zeros(n, dtype=object)
     for b, value in zip(at.tolist(), x):
         w[b] += value
-    w = op.to_levels(w)
     return op.to_ids(w + _int_product(w, op.lt.T if op.dual else op.lt))
 
 
@@ -353,30 +351,31 @@ def _signed_chain_counts(op: _Operator) -> np.ndarray:
     sum over chains of (-1)**k * h at the bottom, with no Moebius function
     involved.
 
-    The count starts from all ones, the chains of one element.  Entry x
-    of ``counts`` counts the chains of the current length whose bottom
-    is x; ``lt @ counts``, with row x of the strict order ``lt`` marking
-    the elements strictly above x, extends each by a step down.  A chain
-    of k + 1 elements has its bottom at least k levels below the top, so
-    step k reads only the rows below the last k levels and the columns
-    the previous step filled, and counts shrinks as the chains grow; a
-    step with no chains left ends the pass.  E adds the steps with
-    alternating signs.  Each step is one float64 BLAS product while the
-    running total of every count so far is below 2**53 (the exactness
-    rule of the module docstring: counts are non-negative, so that total
-    bounds every entry of the next step and of E).  The bound is tested
-    before a step is used; the first time it fails, counts and E, still
-    exact, turn into Python ints, and that step and the rest run on
-    ``_int_product``.
+    The count starts from ones on the elements, the chains of one
+    element, and masks each step to them.  Entry x of ``counts`` counts
+    the chains of the current length whose bottom is x; ``lt @ counts``,
+    with row x of the strict order ``lt`` marking the elements strictly
+    above x, extends each by a step down.  A chain of k + 1 elements has
+    its bottom at least k levels below the top, so step k reads only the
+    rows below the last k levels and the columns the previous step
+    filled, and counts shrinks as the chains grow; a step with no chains
+    left ends the pass.  E adds the steps with alternating signs.  Each
+    step is one float64 BLAS product while the running total of every
+    count so far is below 2**53 (the exactness rule of the module
+    docstring: counts are non-negative, so that total bounds every entry
+    of the next step and of E).  The bound is tested before a step is
+    used; the first time it fails, counts and E, still exact, turn into
+    Python ints, and that step and the rest run on ``_int_product``.
     """
-    lt, n = op.lt, len(op.perm)
-    counts = np.ones(n)
+    lt = op.lt
+    counts = np.ones(len(lt)) if op.keep is None else op.keep.astype(np.float64)
     sums = counts.copy()
-    seen = n  # the sum of every count so far, while in float64
+    seen = len(op.pos)  # the sum of every count so far, while in float64
     for k, stop in enumerate(op.bounds[-2:0:-1]):  # the rows each step keeps
         a = lt[:stop, : len(counts)]
         exact = counts.dtype == object
         step = _int_product(counts, a.T) if exact else a @ counts
+        op.mask(step, 0, stop)
         size = int(step.sum())  # exact below 2**53, at least 2**53 when the true sum is
         if not size:  # no chain this long, so none longer
             break
@@ -384,6 +383,7 @@ def _signed_chain_counts(op: _Operator) -> np.ndarray:
         if not (exact or seen < _FLOAT_EXACT):
             counts, sums = (w.astype(np.int64).astype(object) for w in (counts, sums))
             step = _int_product(counts, a.T)
+            op.mask(step, 0, stop)
         if k % 2:
             sums[:stop] += step
         else:
@@ -486,15 +486,17 @@ class Poset:
     any number of concurrent readers.  Five facts derived from the order
     are cached, each filled idempotently on first use (racing readers
     store equal frozen values): the boolean cover matrix, the antichain
-    levels, the strict order as a float64 operator in level order (see
-    :class:`_Operator`), the Moebius row sums and the signed chain
-    counts.  Use :meth:`from_covers` to build one; the plain constructor
-    trusts its arguments, turns the given cover pairs into the matrix,
-    and with ``covers=None`` leaves the matrix to be derived from ``leq``
-    when first read.
+    levels, the strict order as a float64 operator in level order (a
+    subposet's reads its root's matrix), the Moebius row sums and the
+    signed chain counts.  Use :meth:`from_covers` to build one; the plain
+    constructor trusts its arguments, turns the given cover pairs into
+    the matrix, and with ``covers=None`` leaves the matrix to be derived
+    from ``leq`` when first read.
     """
 
-    __slots__ = ("n", "labels", "leq", "dropped_covers", "_cov", "_lv", "_op", "_r", "_e")
+    __slots__ = (
+        "n", "labels", "leq", "dropped_covers", "_cov", "_lv", "_op", "_r", "_e", "_sub"
+    )
 
     def __init__(
         self,
@@ -518,6 +520,7 @@ class Poset:
         self._op: _Operator | None = None
         self._r: np.ndarray | None = None
         self._e: np.ndarray | None = None
+        self._sub: tuple[Poset, np.ndarray] | None = None  # (root, root ids)
 
     # ------------------------------------------------------------------
     # construction
@@ -594,16 +597,16 @@ class Poset:
 
     def _operator(self) -> _Operator:
         """The strict order in level order as a read-only float64 matrix,
-        with its level order: built on first use and then shared by every
-        solve, chain count and transport on this poset.  The level order
-        is the one a parent handed down (see :meth:`induced_subposet`),
-        else the antichain levels."""
+        with its level order: found on first use and then shared by every
+        solve, chain count and transport on this poset.  A subposet reads
+        its root's (see :meth:`induced_subposet`); a root builds one over
+        its antichain levels."""
         op = self._op
-        if op is None:
-            op = _Operator.of_levels(self._level_sets())
-        if op.lt is None:
-            op = op.built(self.leq)
-            self._op = op
+        if op is None and self._sub is not None:
+            root, ids = self._sub
+            op = self._op = root._operator().restricted(ids)
+        elif op is None:
+            op = self._op = _Operator.built(self.leq, self._level_sets())
         return op
 
     # ------------------------------------------------------------------
@@ -692,9 +695,9 @@ class Poset:
         Returns the subposet (elements renumbered 0..k-1 in ascending
         parent order) and the tuple mapping new ids back to parent ids.
         The cover matrix is derived from the restricted order when first
-        read, so it may hold pairs that were not covers of the parent.  A
-        parent that holds its operator or its levels hands down its level
-        order cut to s, so the subposet's operator needs no Kahn pass.
+        read, so it may hold pairs that were not covers of the parent.  The
+        subposet builds no float64 operator: it reads that of its root (the
+        poset a chain of subposets starts from) and keeps the root alive.
         """
         members = self._member_list(s)
         labels = (
@@ -703,15 +706,11 @@ class Poset:
         return self._restrict(members, labels), tuple(members)
 
     def _restrict(self, members: list[int], labels=None) -> "Poset":
-        """The subposet on the ascending ids ``members``, with the level
-        order cut from this poset's when it holds one."""
+        """The subposet on the ascending ids ``members``, recording its root."""
         ids = np.array(members, dtype=np.int64)
         sub = Poset(len(members), None, self.leq.take(ids, 0).take(ids, 1), labels)
-        held = self._op
-        if held is None and self._lv is not None:
-            held = _Operator.of_levels(self._lv)
-        if held is not None:
-            sub._op = held.restricted(ids)
+        root, at = self._sub or (self, None)
+        sub._sub = (root, ids if at is None else at[ids])
         return sub
 
     def opposite(self) -> "Poset":

@@ -6,7 +6,11 @@ wall-clock budget that is asserted, not just hoped for.
 """
 
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
@@ -46,6 +50,8 @@ from oracles import (
     solve_by_columns,
 )
 from posetzoo import B2, B3, T2, TRELLIS_H
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
 @contextmanager
@@ -443,3 +449,34 @@ def test_21_row_sums_transport_and_excursion_at_n4000():
         assert pushed == h  # along the identity, h itself
         assert total == 100
     assert p.euler_characteristic_by_chains() == -67605188087253
+
+
+def test_22_simulate_memory_at_n4000():
+    # criterion 19's run in a fresh interpreter, which prints its peak
+    # resident memory: the reduced support reads the network's float64
+    # operator (128 MB at n=4000) rather than building one of its own.
+    # The peak is VmHWM, that of the interpreter's own address space:
+    # Linux carries a parent's peak into ru_maxrss across fork and exec,
+    # so ru_maxrss would read the size of the test process.
+    probe = (
+        "import sys\n"
+        "from eulerscan.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    peak = next(line for line in status if line.startswith('VmHWM:'))\n"
+        "print(code, peak.split()[1])\n"
+    )
+    argv = [
+        "simulate", "--layers", "x".join(["500"] * 8), "--density", "0.1",
+        "--targets", "100", "--corrupt", "chi-points", "--seed", "1", "--json",
+    ]
+    with criterion(22, "simulate peak memory at n=4000", 10.0):
+        out = subprocess.run(
+            [sys.executable, "-c", probe, *argv],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True, text=True, check=True,
+        ).stdout
+        *report, last = out.splitlines()
+        code, peak_kib = map(int, last.split())
+        assert code == 0 and json.loads("\n".join(report))["verdict"] == "pass"
+        assert peak_kib < 270 * 1024, f"peak {peak_kib / 1024:.0f} MB"

@@ -598,21 +598,27 @@ def test_moebius_route_never_touches_chain_count(monkeypatch):
     _assert_moebius_route_answers(trellis)
 
 
-def test_readings_on_one_poset_build_each_operator_once(monkeypatch):
+@pytest.fixture
+def built(monkeypatch):
+    """The order matrices that ``_Operator.built`` reads, call by call."""
+    matrices = []
+    build = _Operator.built
+
+    def counted(cls, leq, levels):
+        matrices.append(leq)
+        return build(leq, levels)
+
+    monkeypatch.setattr(_Operator, "built", classmethod(counted))
+    return matrices
+
+
+def test_readings_on_one_poset_build_each_operator_once(built):
     # snapshots on a shared network read its one operator: counting,
     # corruption, both integrals and the pushforward onto a layer chain
     net = random_network([10] * 4, 0.3, 0, 7)
     p = net.poset
     layers = posetzoo.chain(4)
     layer_map = PosetMap(p, layers, [x // 10 for x in range(p.n)])
-    built = []
-    build = _Operator.built
-
-    def counted(self, leq):
-        built.append(leq)
-        return build(self, leq)
-
-    monkeypatch.setattr(_Operator, "built", counted)
     chi_points = chi_minimal_model(p).removed_ids()
     spots = [TargetPosition.at_node(x) for x in range(p.n)]
     spots += [TargetPosition.on_edge(a, b) for a, b in sorted(p.covers)]
@@ -637,7 +643,7 @@ def test_snapshots_on_one_network_count_its_chains_once(monkeypatch):
 
     def count(original):
         def call(op):
-            counted.append(len(op.perm))
+            counted.append(len(op.pos))
             return original(op)
 
         return call
@@ -669,7 +675,137 @@ def test_reduced_count_reads_the_parent_level_order(monkeypatch):
     result = enumerate_reduced(net)
     assert result.count == 12
     assert result.support._lv is None
-    assert result.support._op.lt is not None
+    assert result.support._op.lt is net.poset._op.lt
+
+
+# ----------------------------------------------------------------------
+# subposets read their root's operator through their members
+# ----------------------------------------------------------------------
+
+
+def _outcome(call):
+    """What ``call()`` gives, or the type of error it raises."""
+    try:
+        value = call()
+    except OverflowError as error:
+        return type(error)
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _assert_view_reads_like_fresh(sub, rng):
+    """Every reading of the subposet ``sub``, which reads its root's
+    matrix, equals that of a fresh poset built from its order: R, E, the
+    Moebius table, chi of a subset, the integral, and both transports with
+    ``sub`` as codomain.  Values past 2**53 reach the Python-int tier."""
+    root, _ = sub._sub
+    fresh = Poset(sub.n, None, sub.leq.copy())
+    big = [2**62, -(2**62), 2**53 + 1, -(2**53), 2**53 - 1]
+
+    def draw(n):
+        return [rng.choice(big) if rng.random() < 0.3 else rng.randint(-5, 5)
+                for _ in range(n)]
+
+    values = draw(sub.n)
+    members = rng.sample(range(sub.n), rng.randint(0, sub.n))
+    dom = oracles.random_poset(rng, max_n=6) if sub.n else posetzoo.antichain(0)
+    image = oracles.random_order_preserving_image(rng, dom, sub)
+    g = PosetFunction(dom, draw(dom.n))
+
+    def read(q):
+        f, identity = PosetMap(dom, q, image), PosetMap.identity(q)
+        h = PosetFunction(q, values)
+        return [
+            q._row_sums().tolist(),
+            q._chain_sums().tolist(),
+            q.mobius().mu.tolist(),
+            q.chi_of(members),
+            integrate(h),
+            _outcome(lambda: pushforward(f, g).values),
+            is_chi_distinguished(f),
+            _outcome(lambda: pushforward(identity, h).values),
+            is_chi_distinguished(identity),
+        ]
+
+    assert read(sub) == read(fresh)
+    assert sub._operator().lt is root._operator().lt
+    assert fresh._operator().lt is not root._operator().lt
+
+
+def test_subposets_read_like_fresh_posets():
+    rng = random.Random(71)
+    roots = [posetzoo.trellis(), posetzoo.antichain(3)]
+    roots += [oracles.random_poset(rng, max_n=10, shuffle=True) for _ in range(40)]
+    roots += [
+        random_network([rng.randint(1, 5) for _ in range(5)], 0.4, 0, seed).poset
+        for seed in range(8)
+    ]
+    for p in roots:
+        subs = [
+            p.induced_subposet(rng.sample(range(p.n), rng.randint(0, p.n)))[0],
+            p.induced_subposet([])[0],
+            core(p).result,
+            chi_minimal_model(p).result,
+        ]
+        if p.n:
+            subs.append(p.induced_subposet([rng.randrange(p.n)])[0])
+        sub = subs[0]
+        subs.append(sub.induced_subposet(rng.sample(range(sub.n), rng.randint(0, sub.n)))[0])
+        for sub in subs:
+            assert sub._sub[0] is p  # a subposet of a subposet records the root
+            _assert_view_reads_like_fresh(sub, rng)
+
+
+def test_subposet_past_float64_reads_like_a_fresh_poset():
+    # three elements kept in each of 70 layers of four, so chi = 1 - 2**70:
+    # the solves run the masked walk on Python ints, and the chain count
+    # switches to Python ints midway, at a step that must be masked too
+    p = posetzoo.ordinal_sum_of_antichains(70, 4)
+    sub = p.induced_subposet([x for x in range(p.n) if x % 4 != 3])[0]
+    subsub = sub.induced_subposet(range(3, sub.n))[0]
+    assert sub.euler_characteristic() == sub.euler_characteristic_by_chains() == 1 - 2**70
+    assert sub.mobius()[0, sub.n - 1] == -(2**68)
+    rng = random.Random(5)
+    for view in (sub, subsub):
+        _assert_view_reads_like_fresh(view, rng)
+
+
+def test_simulate_builds_one_matrix(monkeypatch, built):
+    # the network's matrix is built once, and the reduced support reads it
+    supports = []
+
+    def keep(original):
+        def call(*args, **kwargs):
+            result = original(*args, **kwargs)
+            supports.append(result.support)
+            return result
+
+        return call
+
+    _wrap(monkeypatch, "enumerate_reduced", keep)
+    code, text = run_cli(
+        "simulate", "--layers", "4x4x3", "--targets", "10",
+        "--corrupt", "chi-points", "--seed", "7", "--json",
+    )
+    assert code == 0
+    assert text == (GOLDEN / "simulate_4x4x3.json").read_text(encoding="utf-8")
+    [support] = supports
+    root = support._sub[0]
+    assert [leq is root.leq for leq in built] == [True] and root.n == 11
+    assert support._op.lt is root._op.lt
+
+
+def test_restricting_builds_no_matrix(built):
+    # a subposet or a core of a poset never solved on builds nothing until
+    # it is read; the chi-minimal model solves R on its root, building only
+    # the root's matrix
+    p = random_network([6] * 5, 0.4, 0, 3).poset
+    sub, _ = p.induced_subposet(range(0, p.n, 2))
+    reduced = core(p).result
+    assert built == [] and p._op is None and sub._op is None and reduced._op is None
+    model = chi_minimal_model(p).result
+    assert [leq is p.leq for leq in built] == [True] and model._op is None
+    assert model._operator().lt is sub._operator().lt is p._op.lt
+    assert len(built) == 1
 
 
 INT64_EDGES = st.sampled_from([-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1])

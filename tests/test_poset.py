@@ -450,28 +450,37 @@ def test_closure_and_covers_match_boolean_products():
 
 def _check_operator(p):
     """p's operator against its order and against the oracle order built
-    from its covers by search; returns it."""
+    from its covers by search; returns it.  A root builds its own matrix;
+    a subposet reads its root's through the positions of its members."""
     n = p.n
     op = p._operator()
-    lt, perm, bounds = op.lt, op.perm.tolist(), op.bounds
-    assert p._operator() is op  # built once, then shared
-    assert lt.dtype == np.float64 and lt.shape == (n, n)
+    lt, pos, bounds = op.lt, op.pos.tolist(), op.bounds
+    size = len(lt)
+    assert p._operator() is op  # found once, then shared
+    assert lt.dtype == np.float64 and lt.shape == (size, size)
     assert lt.flags.c_contiguous and not lt.flags.writeable
-    assert sorted(perm) == list(range(n))
-    assert bounds[0] == 0 and bounds[-1] == n
+    assert len(set(pos)) == n and all(0 <= i < size for i in pos)
+    assert bounds[0] == 0 and bounds[-1] == size
     assert all(s < e for s, e in zip(bounds, bounds[1:]))  # no empty level
     # strictly upper block-triangular: a level's columns have entries
     # only in the rows of earlier levels, so each level is an antichain
     for s, e in op.blocks():
         assert not lt[s:, s:e].any()
     assert set(np.unique(lt).tolist()) <= {0.0, 1.0}
-    unpermuted = np.empty_like(lt)
-    unpermuted[np.ix_(perm, perm)] = lt
-    assert np.array_equal(unpermuted, p.leq & ~np.eye(n, dtype=bool))
+    if p._sub is None:
+        assert op.keep is None and size == n
+    else:
+        root, ids = p._sub
+        assert root._sub is None and lt is root._operator().lt
+        assert pos == root._operator().pos[ids].tolist()
+        assert op.keep.tolist() == [i in pos for i in range(size)]
+    assert np.array_equal(lt[np.ix_(pos, pos)], p.leq & ~np.eye(n, dtype=bool))
     reach = oracles.reachability(n, p.covers)
-    assert np.array_equal(lt, oracles.strict_order_in(perm, reach))
+    at, perm = sorted(pos), np.argsort(op.pos).tolist()  # the members in level order
+    assert np.array_equal(lt[np.ix_(at, at)], oracles.strict_order_in(perm, reach))
     opposite = op.opposite()
-    assert opposite.lt is lt and opposite.dual and opposite.opposite().dual is False
+    assert opposite.lt is lt and opposite.pos is op.pos and opposite.keep is op.keep
+    assert opposite.dual and opposite.opposite().dual is False
     return op
 
 
@@ -493,10 +502,10 @@ def test_operator_is_the_strict_order_in_level_order(p):
     op = _check_operator(p)
     # built from the Kahn levels, bottom first
     assert op.bounds == (0, *np.cumsum([len(a) for a in p._level_sets()]).tolist())
-    assert op.perm.tolist() == [x for a in p._level_sets() for x in a.tolist()]
+    assert np.argsort(op.pos).tolist() == [x for a in p._level_sets() for x in a.tolist()]
 
 
-def test_subposets_and_cores_cut_the_parent_level_order():
+def test_subposets_and_cores_read_the_parent_matrix():
     rng = random.Random(43)
     parents = [posetzoo.trellis(), posetzoo.antichain(4)]
     parents += [oracles.random_poset(rng, max_n=9, shuffle=True) for _ in range(30)]
@@ -510,14 +519,14 @@ def test_subposets_and_cores_cut_the_parent_level_order():
         held = Poset(p.n, None, p.leq.copy())
         held._operator()
         # from_covers holds its levels, the plain constructor nothing
-        for q, hands_down in ((plain, False), (p, True), (held, True)):
+        for q in (plain, p, held):
             for sub in (q.induced_subposet(members)[0], core(q).result):
-                # the parent's level order, cut to the members; the matrix
-                # waits for a reader
-                assert (sub._op is not None) == hands_down
-                assert sub._op is None or sub._op.lt is None
+                # the subposet records its root; its operator waits for a
+                # reader and is then the root's matrix
+                assert sub._op is None and sub._sub[0] is q
                 _check_operator(sub)
-                assert (sub._lv is None) == hands_down  # no Kahn pass
+                assert sub._op.lt is q._operator().lt
+                assert sub._lv is None  # no Kahn pass
                 fresh = Poset(sub.n, None, sub.leq.copy())
                 _check_operator(fresh)
                 assert sub._row_sums().tolist() == fresh._row_sums().tolist()
@@ -526,10 +535,10 @@ def test_subposets_and_cores_cut_the_parent_level_order():
 
 
 def test_operator_slot_is_published_once_and_built(monkeypatch):
-    # A reader that stored a level order without its matrix could
-    # overwrite a racing reader's built operator, and that reader would
-    # hand out the matrix-less one; so the slot takes only built
-    # operators, besides the level order a parent hands down.
+    # A reader that stored a half-built operator could overwrite a racing
+    # reader's built one and hand it out; so every write to the slot is
+    # a built operator, exactly one per poset, subposets included, and
+    # restricting writes nothing.
     slot, writes = Poset._op, []
 
     class Spy:
@@ -544,16 +553,17 @@ def test_operator_slot_is_published_once_and_built(monkeypatch):
     monkeypatch.setattr(Poset, "_op", Spy())
     p = random_network([5, 6, 5, 4], 0.4, 0, 7).poset
     plain = Poset(p.n, None, p.leq.copy())
-    for q in (p, plain):
-        op = q._operator()
-        assert [(obj, value) for obj, value in writes if obj is q] == [(q, op)]
-        assert op.lt is not None
     sub = p.induced_subposet(range(0, p.n, 2))[0]
-    cut = sub._op
-    assert cut.lt is None  # the parent's level order, handed down
-    op = sub._operator()
-    assert [value for obj, value in writes if obj is sub] == [cut, op]
-    assert op.lt is not None and op.perm is cut.perm
+    subsub = sub.induced_subposet(range(0, sub.n, 3))[0]
+    assert writes == []
+    posets = (subsub, p, plain, sub)  # the first read builds its root's
+    ops = [q._operator() for q in posets]
+    assert [q._operator() for q in posets] == ops  # read again, written once
+    assert len(writes) == len(posets)
+    assert {id(q): value for q, value in writes} == {id(q): op for q, op in zip(posets, ops)}
+    for op in ops:
+        assert op.lt.dtype == np.float64 and not op.lt.flags.writeable
+    assert ops[0].lt is ops[1].lt is ops[3].lt is not ops[2].lt
 
 
 # ----------------------------------------------------------------------

@@ -77,8 +77,9 @@ argument.  Otherwise the same walk runs again on Python ints, the only
 path for answers past 2**53.  The solves and the zeta and Moebius
 matrices hand out Python-int object arrays at every size.
 
-The counting products of the order walk and the cover matrix run in
-float32, where every entry is a count below 2**24.
+The counting products of the order walk and the cover matrix (the square
+of the order, counting every closed interval) run in float32, where
+every entry is a count below 2**24.
 """
 
 from __future__ import annotations
@@ -95,16 +96,6 @@ from .errors import CycleDetected, SizeLimitExceeded
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-def _bool_square(a: np.ndarray) -> np.ndarray:
-    """The boolean product ``a @ a``, taken in float32 and tested ``> 0``.
-
-    NumPy multiplies boolean matrices without BLAS.  In float32 each
-    entry counts at most n middle elements, exact while n < 2**24.
-    """
-    f = a.astype(np.float32)
-    return (f @ f) > 0
 
 
 _FLOAT_EXACT = 2**53  # float64 holds every integer of smaller magnitude
@@ -395,11 +386,15 @@ def _signed_chain_counts(op: _Operator) -> np.ndarray:
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
-    """Transitive reduction: ``cov[x, y]`` iff x < y with nothing strictly
-    in between.  Row x holds the upper covers of x, column x its lower
-    covers; this is the one place covers are derived from an order."""
-    lt = leq & ~np.eye(leq.shape[0], dtype=bool)
-    return lt & ~_bool_square(lt)
+    """Transitive reduction: ``cov[x, y]`` iff the interval [x, y] holds
+    two elements.  Row x holds the upper covers of x, column x its lower
+    covers; this is the one place covers are derived from an order.  An
+    interval [x, x] of more than x is a cycle: :class:`CycleDetected`."""
+    f = leq.astype(np.float32)
+    count = f @ f
+    if (count.diagonal() > 1).any():
+        raise CycleDetected("order relation contains a directed cycle")
+    return count == 2
 
 
 @dataclass(frozen=True)
@@ -652,7 +647,10 @@ class Poset:
         return sorted({self._element(x) for x in s})
 
     def __repr__(self) -> str:
-        return f"Poset(n={self.n}, covers={np.count_nonzero(self._hasse())})"
+        try:
+            return f"Poset(n={self.n}, covers={np.count_nonzero(self._hasse())})"
+        except CycleDetected:  # a trusted order may hold a cycle
+            return f"Poset(n={self.n}, cyclic)"
 
     # ------------------------------------------------------------------
     # order primitives

@@ -15,8 +15,9 @@ down-beat  =>  weak down-beat (strict up-set contractible)  =>  chi-point
 none remain yields the core, which is unique up to isomorphism; the
 strip starts from a copy of the poset's cover matrix and keeps it
 current, since removing x keeps every other cover and can only add pairs
-of a lower and an upper cover of x; it ends holding the survivors'
-covers and hands them to the core.  A strict up- or down-set is convex,
+(w, c) of a lower and an upper cover of x, those whose interval [w, c]
+holds two survivors; it ends holding the survivors' covers and hands
+them to the core.  A strict up- or down-set is convex,
 so its covers are the poset's restricted to it, and its contractibility
 test starts from that slice.
 Removing chi-points until none remain yields the chi-minimal model, and
@@ -90,39 +91,39 @@ def _priority(n: int, tie_break: Sequence[int] | None) -> np.ndarray:
 
 def _strip_beat_points(
     cov: np.ndarray, leq: np.ndarray, rank: np.ndarray
-) -> tuple[list[int], list[tuple[int, str]]]:
+) -> tuple[list[int], list[tuple[int, str]], np.ndarray]:
     """Remove beat points of ``leq`` one at a time until none remain.
 
-    ``cov`` is a writable copy of the cover matrix of ``leq``, which the
-    strip updates in place.  The beat point of least rank goes first,
-    recorded as down-beat in preference to up-beat.  Returns the
-    surviving indices and the (index, reason) removal sequence.  Removing
-    x adds as covers exactly the pairs (w, c) of a lower and an upper
-    cover of x with no survivor strictly between them (a float32 count,
-    exact below 2**24).
+    Reads ``leq`` and its cover matrix ``cov``, and writes only a copy
+    of ``cov``, two degree counters and the survivor mask.  The beat
+    point of least rank goes first, recorded as down-beat in preference
+    to up-beat.  Returns the surviving indices, the (index, reason)
+    removal sequence and the copy, now the survivors' covers.  Removing
+    x adds the pairs (w, c) of a lower and an upper cover of x whose
+    interval [w, c] holds two survivors (a float32 count of the order as
+    held, exact below 2**24).
     """
-    lt = (leq & ~np.eye(leq.shape[0], dtype=bool)).astype(np.float32)
+    cov = cov.copy()
     uppers, lowers = cov.sum(axis=1), cov.sum(axis=0)
     alive = np.ones(leq.shape[0], dtype=bool)
     removal: list[tuple[int, str]] = []
     while True:
         beat = np.flatnonzero(alive & ((uppers == 1) | (lowers == 1)))
         if beat.size == 0:
-            return np.flatnonzero(alive).tolist(), removal
+            return np.flatnonzero(alive).tolist(), removal, cov
         x = beat[np.argmin(rank[beat])]
         removal.append((int(x), DOWN_BEAT if uppers[x] == 1 else UP_BEAT))
         w, c = np.flatnonzero(cov[:, x]), np.flatnonzero(cov[x])
-        cov[x] = cov[:, x] = lt[:, x] = alive[x] = False  # x lies between nothing
-        new = lt[w] @ lt[:, c] == 0
+        cov[x] = cov[:, x] = alive[x] = False
+        new = (leq[w] & alive).astype(np.float32) @ leq[:, c] == 2
         cov[np.ix_(w, c)] = new
         uppers[w] += new.sum(axis=1) - 1
         lowers[c] += new.sum(axis=0) - 1
 
 
 def _contractible(cov: np.ndarray, leq: np.ndarray) -> bool:
-    """True iff the strip leaves one point of the order ``leq``, from a
-    writable copy ``cov`` of its covers; the empty order is not one."""
-    members, _ = _strip_beat_points(cov, leq, np.arange(leq.shape[0]))
+    """True iff the strip leaves one point of ``leq``; the empty order is not one."""
+    members, _, _ = _strip_beat_points(cov, leq, np.arange(leq.shape[0]))
     return len(members) == 1
 
 
@@ -146,7 +147,8 @@ def classify_points(p: Poset) -> PointClass:
     is_chi_point = p._row_sums() == 0
     ones = np.ones((1, p.n), dtype=object)
     is_dual_chi_point = _mobius_solve(p._operator(), ones)[0] == 0
-    lt = p.leq & ~np.eye(p.n, dtype=bool)
+    lt = p.leq.copy()
+    np.fill_diagonal(lt, False)
 
     def weak(beat, chi_point, side) -> frozenset[int]:
         # row x of ``side`` masks the strict up-set (or down-set) of x
@@ -174,8 +176,7 @@ def core(p: Poset, tie_break: Sequence[int] | None = None) -> ReductionReport:
     to isomorphism whatever the order.
     """
     rank = _priority(p.n, tie_break)
-    cov = p._hasse().copy()
-    members, removal = _strip_beat_points(cov, p.leq, rank)
+    members, removal, cov = _strip_beat_points(p._hasse(), p.leq, rank)
     result, mapping = p.induced_subposet(members)
     result._cov = _freeze(cov[np.ix_(members, members)])
     return ReductionReport(p, tuple(removal), result, mapping)
@@ -183,7 +184,7 @@ def core(p: Poset, tie_break: Sequence[int] | None = None) -> ReductionReport:
 
 def is_contractible(p: Poset) -> bool:
     """True iff the core is a single point; the empty poset is not."""
-    return _contractible(p._hasse().copy(), p.leq)
+    return _contractible(p._hasse(), p.leq)
 
 
 def chi_minimal_model(

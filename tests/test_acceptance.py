@@ -480,3 +480,34 @@ def test_22_simulate_memory_at_n4000():
         code, peak_kib = map(int, last.split())
         assert code == 0 and json.loads("\n".join(report))["verdict"] == "pass"
         assert peak_kib < 270 * 1024, f"peak {peak_kib / 1024:.0f} MB"
+
+
+def test_23_reduction_at_n4000_with_work():
+    # constant mean degree (density x width = 3): unlike criterion 20's
+    # network, this one has beat points and chi-points to remove
+    net = random_network([500] * 8, 0.006, 100, 1)
+    p = net.poset
+    assert p.n == 4000 and len(p.covers) == 10575
+    with criterion(23, "core and classify_points at n=4000 with removals", 3.0):
+        report = core(p)
+        assert len(report.removal_sequence) == 989 and report.result.n == 3011
+        flags = classify_points(p)
+        counts = [
+            len(flags.down_beat),
+            len(flags.up_beat),
+            len(flags.weak_down_beat),
+            len(flags.weak_up_beat),
+            len(flags.chi_point),
+        ]
+        assert counts == [523, 519, 584, 577, 621]
+    assert p.euler_characteristic() == 44749
+    assert len(chi_minimal_model(p).removal_sequence) == 621
+    code, text = run_cli(
+        "simulate", "--layers", "x".join(["500"] * 8), "--density", "0.006",
+        "--targets", "100", "--corrupt", "chi-points", "--seed", "1", "--json",
+    )
+    results = json.loads(text)["results"]
+    assert code == 0 and results["nodes"] == 4000
+    assert len(results["corrupted"]) == 621
+    assert results["full_estimate"] == results["reduced_estimate"] == 100
+    assert results["reduced_support_size"] == 1889

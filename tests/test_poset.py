@@ -410,6 +410,29 @@ def test_both_chi_routes_exact_past_int64():
     assert p.mobius()[0, p.n - 1] == -(2**68)
 
 
+def test_cover_matrix_matches_search_oracle():
+    # the two-element intervals are the covers by definition: x < y with
+    # no z strictly between, on the order found by depth-first search
+    rng = random.Random(29)
+    for n in [0, 1] + [rng.randint(2, 14) for _ in range(150)]:
+        ids = rng.sample(range(n), n)
+        density = rng.uniform(0.1, 0.7)
+        arcs = [
+            (ids[i], ids[j])
+            for i in range(n) for j in range(i + 1, n) if rng.random() < density
+        ]
+        pairs = oracles.reachability(n, arcs)
+        lt = {(x, y) for x, y in pairs if x != y}
+        expect = {
+            (x, y) for x, y in lt
+            if not any((x, z) in lt and (z, y) in lt for z in range(n))
+        }
+        leq = np.zeros((n, n), dtype=bool)
+        leq[tuple(zip(*pairs))] = True
+        assert {tuple(pair) for pair in np.argwhere(_cover_matrix(leq)).tolist()} == expect
+        assert Poset(n, None, leq).covers == expect
+
+
 def test_closure_and_covers_match_boolean_products():
     rng = random.Random(17)
     for n in [0, 1, 2, 300] + [rng.randint(3, 90) for _ in range(30)]:
@@ -728,12 +751,13 @@ def test_ordinal_sums_past_the_float_bound_fall_back_to_python_ints(monkeypatch)
 
 def _calls_on_a_cycle(calls: str) -> str:
     """What each call prints on the trusted 3-element order with
-    0 <= 1 <= 2 <= 1.  A route that never noticed the cycle could loop,
-    so the probe runs in a fresh interpreter with a timeout."""
+    0 <= 1 <= 2 <= 1, held without covers, so a reader of the covers
+    derives them from the order.  A route that never noticed the cycle
+    could loop, so the probe runs in a fresh interpreter with a timeout."""
     probe = "\n".join([
         "import numpy as np",
-        "from eulerscan import CycleDetected, Poset",
-        "p = Poset(3, frozenset(), np.array([[1, 1, 1], [0, 1, 1], [0, 1, 1]], bool))",
+        "from eulerscan import CycleDetected, Poset, core, is_contractible",
+        "p = Poset(3, None, np.array([[1, 1, 1], [0, 1, 1], [0, 1, 1]], bool))",
         f"for call in ({calls}):",
         "    try:",
         "        print(call())",
@@ -763,6 +787,17 @@ def test_chain_route_raises_on_a_cycle_instead_of_spinning():
     out = _calls_on_a_cycle("p.euler_characteristic_by_chains, lambda: p.chi_of([1, 2])")
     line = "CycleDetected order relation contains a directed cycle\n"
     assert out == line * 2
+
+
+def test_cover_routes_raise_on_a_cycle_and_repr_still_answers():
+    # the interval [1, 1] holds 1 and 2, so the cover count sees the
+    # cycle; it would otherwise report covers (1, 2) and (2, 1), and the
+    # strip would remove both as beat points
+    out = _calls_on_a_cycle(
+        "lambda: p.covers, lambda: core(p), lambda: is_contractible(p), p.__repr__"
+    )
+    line = "CycleDetected order relation contains a directed cycle\n"
+    assert out == line * 3 + "Poset(n=3, cyclic)\n"
 
 
 def test_zeta_mobius_inverse_and_route_agreement():

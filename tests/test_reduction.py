@@ -291,6 +291,22 @@ def test_covers_are_derived_only_where_no_maker_holds_them(monkeypatch):
     assert calls == []
 
 
+def test_reduction_leaves_the_order_and_covers_as_held():
+    # the strip reads the order through its survivor mask and writes only
+    # its own copy of the cover matrix
+    nets = [random_network([25] * 8, d, 0, 1).poset for d in (0.02, 0.05, 0.1)]
+    subs = [posetzoo.chain(60).induced_subposet(range(0, 60, 2))[0]]  # derived covers
+    for p in [posetzoo.trellis(), posetzoo.coned_circle_plus_point()] + nets + subs:
+        leq, held = p.leq.copy(), p._hasse()
+        cov = held.copy()
+        classify_points(p)
+        core(p)
+        core(p, list(reversed(range(p.n))))
+        is_contractible(p)
+        assert p._hasse() is held
+        assert np.array_equal(p.leq, leq) and np.array_equal(held, cov)
+
+
 # ----------------------------------------------------------------------
 # contractibility
 # ----------------------------------------------------------------------

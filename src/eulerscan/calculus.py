@@ -57,6 +57,7 @@ class PosetFunction:
     """An integer value per element of one poset."""
 
     __slots__ = ("parent", "values")
+    __array_ufunc__ = None  # NumPy operands defer to the operators below
 
     def __init__(self, parent: Poset, values: Iterable[int]):
         arr = _int64_values(values)
@@ -78,6 +79,9 @@ class PosetFunction:
     def __len__(self) -> int:
         return self.parent.n
 
+    def __iter__(self):
+        return iter(self.values.tolist())
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PosetFunction)
@@ -89,21 +93,23 @@ class PosetFunction:
         return hash((self.parent.n, self.values.tobytes()))  # what __eq__ compares
 
     def __add__(self, other: "PosetFunction") -> "PosetFunction":
-        self._check_same(other)
-        return PosetFunction(self.parent, self.values.astype(object) + other.values)
+        return self._combined(operator.add, other)
 
     def __sub__(self, other: "PosetFunction") -> "PosetFunction":
-        self._check_same(other)
-        return PosetFunction(self.parent, self.values.astype(object) - other.values)
+        return self._combined(operator.sub, other)
 
     def __rmul__(self, scalar: int) -> "PosetFunction":
         return PosetFunction(
             self.parent, operator.index(scalar) * self.values.astype(object)
         )
 
-    def _check_same(self, other: "PosetFunction"):
+    def _combined(self, op, other) -> "PosetFunction":
+        """``op`` of the two functions' values, on Python ints."""
+        if not isinstance(other, PosetFunction):
+            return NotImplemented
         if other.parent is not self.parent:
             raise ValueError("functions live on different posets")
+        return PosetFunction(self.parent, op(self.values.astype(object), other.values))
 
     def with_value(self, x: int, value: int) -> "PosetFunction":
         vals = self.values.copy()

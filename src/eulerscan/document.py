@@ -195,7 +195,7 @@ class PosetDocument:
             for kind, where, _count in self.targets:
                 if kind == "edge":
                     dense = (self._dense[where[0]], self._dense[where[1]])
-                    if not poset._is_cover(dense):
+                    if not poset._is_cover(*dense):
                         raise ParseError(
                             f"target edge {list(where)} is not a cover of the poset"
                         )

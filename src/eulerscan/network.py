@@ -116,7 +116,7 @@ def counting_function(p: Poset, t: TargetSet) -> PosetFunction:
                 raise ValueError(f"target node {pos.node} does not exist")
             seen_from.append(pos.node)
         else:
-            if not p._is_cover(pos.edge):
+            if not p._is_cover(*pos.edge):
                 raise ValueError(f"target edge {pos.edge} is not a cover of the poset")
             seen_from.append(pos.edge[1])
     return PosetFunction(p, _order_sums(p._operator(), [1] * len(seen_from), seen_from))

@@ -40,21 +40,21 @@ positions (the root's levels cut to them are still antichains), and
 every walk zeroes the positions outside the mask after each level or
 chain step, so they add nothing to any product or to any bound below.
 
-All counting arithmetic is exact, in two tiers that run the same code:
-float64 BLAS, and Python ints, which every product with the operator
-takes through one function, ``_int_product`` (column masks and sums).
-The float64 tier has one exactness rule for its three users, the
-solve, the chain count and the transport: a product of the 0/1 operator
-with integers is trusted in float64 only when the absolute values it
-can add sum below 2**53, and is otherwise taken on Python ints.  It
-rests on one lemma.  float64 adds integers exactly, in any order, while
-every partial sum stays below 2**53; and for non-negative integers the
-float64 sum, in any order, is at least min(true sum, 2**53), since
-rounding is monotone and 2**53 is a float.  So a float total of |x|
-below 2**53 proves the true total below 2**53, and then every entry of
-the product, and every partial sum BLAS forms on the way, is an exact
-sum of some of those values.  The argument assumes only that each BLAS
-partial sum adds some entries of one row.
+All counting arithmetic is exact, in two tiers that run the same code,
+float64 BLAS and Python ints, which meet the operator in one place,
+``_product``: every product takes its tier from its integers' dtype.
+The float64 tier has one exactness rule for its three users, the solve,
+the chain count and the transport: a product of the 0/1 operator with
+integers is trusted in float64 only when the absolute values it can add
+sum below 2**53, and is otherwise taken on Python ints.  It rests on one
+lemma.  float64 adds integers exactly, in any order, while every partial
+sum stays below 2**53; and for non-negative integers the float64 sum, in
+any order, is at least min(true sum, 2**53), since rounding is monotone
+and 2**53 is a float.  So a float total of |x| below 2**53 proves the
+true total below 2**53, and then every entry of the product, and every
+partial sum BLAS forms on the way, is an exact sum of some of those
+values.  The argument assumes only that each BLAS partial sum adds some
+entries of one row.
 
 A transport (``_order_sums``) tests sum(|x|) on the Python ints before
 any float conversion.  The chain count (``_signed_chain_counts``)
@@ -227,10 +227,6 @@ class _Operator:
         """The operator of the opposite order, sharing this matrix."""
         return _Operator(self.pos, self.bounds, self.lt, self.keep, not self.dual)
 
-    def blocks(self):
-        """The (start, stop) positions of each level, bottom first."""
-        return list(zip(self.bounds, self.bounds[1:]))
-
     def mask(self, c: np.ndarray, s: int, e: int) -> None:
         """Zero ``c[..., s:e]`` outside the subposet, in place."""
         if self.keep is not None:
@@ -278,53 +274,56 @@ def _level_walk(op: _Operator, c: np.ndarray) -> np.ndarray:
     one level at a time, every element strictly below a level lying in an
     earlier one (from the top level down on an opposite operator, where
     the elements below y are those above it in ``op.lt``), each masked
-    to the subposet.  A float64 ``c`` steps in BLAS, an object array of
-    Python ints on ``_int_product``; returns ``c``.
+    to the subposet, each product taken by ``_product``; returns ``c``.
     """
-    lt, blocks = op.lt, op.blocks()
-    product = _int_product if c.dtype == object else np.matmul
+    lt, blocks = op.lt, list(zip(op.bounds, op.bounds[1:]))
     for s, e in reversed(blocks) if op.dual else blocks:
         if op.dual:
-            c[:, s:e] -= product(c[:, e:], lt[s:e, e:].T)
+            c[:, s:e] -= _product(c[:, e:], lt[s:e, e:].T)
         else:
-            c[:, s:e] -= product(c[:, :s], lt[:s, s:e])
+            c[:, s:e] -= _product(c[:, :s], lt[:s, s:e])
         op.mask(c, s, e)
     return c
 
 
-def _int_product(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """``x @ a`` on Python ints, exact at any size, for an object array
-    ``x`` (a vector or rows) and a 0/1 float64 block ``a`` of an
-    operator: column j of the answer sums the entries of x that column j
-    of ``a`` marks, with no multiplication.  The one place the operator
-    meets Python ints."""
+def _product(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``x @ a`` for integers ``x`` (a vector or rows) and a 0/1 float64
+    block ``a`` of an operator: in BLAS for float64 x, exact under the
+    caller's 2**53 bound; for Python ints, exact at any size, column j
+    sums the entries of x that column j of ``a`` marks.  The one place
+    both tiers meet the operator."""
+    if x.dtype != object:
+        return x @ a
     out = np.zeros(x.shape[:-1] + a.shape[1:], dtype=object)
     for j, marks in enumerate((a > 0).T):
         out[..., j] = x[..., marks].sum(axis=-1)
     return out
 
 
+def _ints(w: np.ndarray) -> np.ndarray:
+    """Exact integers as an object array of Python ints."""
+    return w if w.dtype == object else w.astype(np.int64).astype(object)
+
+
 def _order_sums(op: _Operator, x, at) -> np.ndarray:
     """Entry y sums the integers x[b] over the b with ``at[b] <= y`` in
     the order of the operator ``op`` (or its opposite), exact: x placed
-    on the elements ``at`` and carried up the order.
+    on the elements ``at`` and carried up the order by one ``_product``.
 
     Runs in float64 BLAS when sum(|x|) < 2**53, tested on the Python ints
     before any float conversion (the exactness rule of the module
-    docstring), and the answer is then int64; otherwise it is found on
-    Python ints (``_int_product``) and handed out as an object array.
+    docstring), and the answer is then int64; otherwise it runs on
+    Python ints and is handed out as an object array.
     """
     x = x.tolist() if isinstance(x, np.ndarray) else list(x)
-    n = len(op.lt)
     at = op.pos[np.asarray(at, dtype=np.intp)]  # in level order
     if sum(map(abs, x)) < _FLOAT_EXACT:
-        w = np.bincount(at, np.array(x, dtype=np.float64), n)
-        y = w + (op.lt @ w if op.dual else w @ op.lt)
-        return op.to_ids(y).astype(np.int64)
-    w = np.zeros(n, dtype=object)
-    for b, value in zip(at.tolist(), x):
-        w[b] += value
-    return op.to_ids(w + _int_product(w, op.lt.T if op.dual else op.lt))
+        w = np.bincount(at, np.array(x, dtype=np.float64), len(op.lt))
+    else:
+        w = np.zeros(len(op.lt), dtype=object)
+        np.add.at(w, at, np.array(x, dtype=object))
+    y = op.to_ids(w + _product(w, op.lt.T if op.dual else op.lt))
+    return y if y.dtype == object else y.astype(np.int64)
 
 
 def _exact_dot(a, b) -> int:
@@ -356,33 +355,30 @@ def _signed_chain_counts(op: _Operator) -> np.ndarray:
     docstring: counts are non-negative, so that total bounds every entry
     of the next step and of E).  The bound is tested before a step is
     used; the first time it fails, counts and E, still exact, turn into
-    Python ints, and that step and the rest run on ``_int_product``.
+    Python ints (``_ints``), and that step and the rest run there.
     """
     lt = op.lt
     counts = np.ones(len(lt)) if op.keep is None else op.keep.astype(np.float64)
     sums = counts.copy()
-    seen = len(op.pos)  # the sum of every count so far, while in float64
+    seen = len(op.pos)  # the sum of every count so far
     for k, stop in enumerate(op.bounds[-2:0:-1]):  # the rows each step keeps
         a = lt[:stop, : len(counts)]
-        exact = counts.dtype == object
-        step = _int_product(counts, a.T) if exact else a @ counts
+        step = _product(counts, a.T)
         op.mask(step, 0, stop)
         size = int(step.sum())  # exact below 2**53, at least 2**53 when the true sum is
         if not size:  # no chain this long, so none longer
             break
         seen += size
-        if not (exact or seen < _FLOAT_EXACT):
-            counts, sums = (w.astype(np.int64).astype(object) for w in (counts, sums))
-            step = _int_product(counts, a.T)
+        if seen >= _FLOAT_EXACT and counts.dtype != object:
+            counts, sums = _ints(counts), _ints(sums)
+            step = _product(counts, a.T)
             op.mask(step, 0, stop)
         if k % 2:
             sums[:stop] += step
         else:
             sums[:stop] -= step
         counts = step
-    if sums.dtype != object:
-        sums = sums.astype(np.int64).astype(object)
-    return _freeze(op.to_ids(sums))
+    return _freeze(op.to_ids(_ints(sums)))
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
@@ -449,6 +445,7 @@ class MobiusTable:
 
     parent: "Poset"
     mu: np.ndarray
+    __iter__ = None  # indexed by pairs of ids, not iterable
 
     def __getitem__(self, pair: tuple[int, int]) -> int:
         x, y = pair
@@ -573,14 +570,10 @@ class Poset:
             self._cov = _freeze(_cover_matrix(self.leq))
         return self._cov
 
-    def _is_cover(self, pair) -> bool:
-        """True iff ``pair`` is (lower, upper) of a cover; a pair naming
-        an id outside 0..n-1 is none, rather than wrapping."""
-        return (
-            len(pair) == 2
-            and all(0 <= x < self.n for x in pair)
-            and bool(self._hasse()[pair[0], pair[1]])
-        )
+    def _is_cover(self, a: int, b: int) -> bool:
+        """True iff b covers a; a pair naming an id outside 0..n-1 is
+        none, rather than wrapping."""
+        return 0 <= a < self.n and 0 <= b < self.n and bool(self._hasse()[a, b])
 
     def _level_sets(self) -> tuple[np.ndarray, ...]:
         """The elements in antichain levels, level k holding those whose
@@ -724,7 +717,7 @@ class Poset:
 
     def zeta(self) -> np.ndarray:
         """The (0,1) order matrix as a Python-int matrix."""
-        return self.leq.astype(np.int64).astype(object)
+        return _ints(self.leq)
 
     def mobius(self) -> MobiusTable:
         """The full Moebius table, built by one solve on each call."""

@@ -172,6 +172,39 @@ def test_arithmetic_raises_instead_of_wrapping():
     assert (low - (-1) * h).values.tolist() == [-(2**62), 1]
 
 
+def test_functions_are_sequences_of_python_ints():
+    p = posetzoo.chain(3)
+    h = PosetFunction(p, [0, 1, 2])
+    assert list(h) == [0, 1, 2] and all(type(v) is int for v in h)
+    assert sum(h) == 3 and 2 in h and 3 not in h
+    assert np.asarray(h).tolist() == [0, 1, 2]
+    with pytest.raises(ValueError, match="element id 3 out of range"):
+        h[3]
+    with pytest.raises(TypeError):
+        list(p.mobius())  # indexed by pairs, not iterable
+
+
+def test_function_operators_defer_to_their_own_rules():
+    h = PosetFunction(posetzoo.chain(3), [0, 1, 2])
+    for scalar in (3, np.int64(3), np.int8(3)):
+        assert scalar * h == PosetFunction(h.parent, [0, 3, 6])
+    assert (h + h).values.tolist() == [0, 2, 4] and (h - 2 * h) == -1 * h
+    for call in (
+        lambda: np.float64(1.5) * h,
+        lambda: 1.5 * h,
+        lambda: h + 1,
+        lambda: 1 + h,
+        lambda: h - np.int64(1),
+        lambda: h + h.values,
+    ):
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(OverflowError):
+        np.int64(2**62) * PosetFunction(h.parent, [0, 2, 0])
+    with pytest.raises(ValueError, match="different posets"):
+        h + PosetFunction(posetzoo.chain(3), [0, 0, 0])
+
+
 CHAIN3 = posetzoo.chain(3)  # 0 < 1 < 2
 NET3 = random_network([3], 0, 0, 1)
 # each site takes an integer argument v
@@ -485,10 +518,14 @@ def test_excursion_rejects_negative():
 
 def _wrap(monkeypatch, name, wrap):
     """Replace ``name`` by ``wrap(original)`` in every eulerscan namespace
-    that holds it."""
+    that holds it; fails when none does, so a renamed function cannot
+    leave a spy or a refusal silently unarmed."""
+    patched = []
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "eulerscan" and hasattr(module, name):
             monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+            patched.append(module_name)
+    assert patched, f"no eulerscan namespace holds {name}"
 
 
 def _refuse(monkeypatch, name):
@@ -498,6 +535,24 @@ def _refuse(monkeypatch, name):
         raise AssertionError(f"reached {name}")
 
     _wrap(monkeypatch, name, lambda original: refuse)
+
+
+def _int_products(monkeypatch) -> list[tuple[int, ...]]:
+    """Spy on ``_product``: the returned list gains the shape of x for
+    each product taken on Python ints (an object array x) as it runs;
+    float64 products are not recorded."""
+    shapes = []
+
+    def spy(product):
+        def counted(x, a):
+            if x.dtype == object:
+                shapes.append(x.shape)
+            return product(x, a)
+
+        return counted
+
+    _wrap(monkeypatch, "_product", spy)
+    return shapes
 
 
 def _walk_dtypes(monkeypatch) -> list[str]:
@@ -899,13 +954,14 @@ def test_values_past_the_float_bound_go_straight_to_python_ints(monkeypatch, val
 def test_network_readers_take_the_float_level_solve(monkeypatch):
     net = random_network([30] * 8, 0.1, 40, 1605)
     p = net.poset
-    _refuse(monkeypatch, "_int_product")
+    products = _int_products(monkeypatch)
     assert p.euler_characteristic() == p.euler_characteristic_by_chains()
     assert integrate(net.counting) == 40
     layers = posetzoo.chain(8)
     f = PosetMap(p, layers, [x // 30 for x in range(p.n)])
     assert integrate(pushforward(f, net.counting)) == 40
     assert mobius_coefficients(net.counting).coefficient_sum() == 40
+    assert products == []
 
 
 V_SHAPE = Poset.from_covers(3, [(0, 2), (1, 2)])  # two minima under one maximum
@@ -994,16 +1050,7 @@ def test_chain_count_exact_at_the_int64_step_bound(p, weights):
     ],
 )
 def test_chain_count_exact_at_the_float_step_bound(monkeypatch, p, weights, python_steps):
-    steps = []
-
-    def counted(original):
-        def step(*args):
-            steps.append(1)
-            return original(*args)
-
-        return step
-
-    _wrap(monkeypatch, "_int_product", counted)
+    steps = _int_products(monkeypatch)
     n = p.n
     mu = oracles.mobius_by_recursion(n, oracles.reachability(n, p.covers))
     row_sums = [sum(mu[(x, y)] for y in range(n)) for x in range(n)]
@@ -1016,12 +1063,13 @@ def test_chain_count_exact_at_the_float_step_bound(monkeypatch, p, weights, pyth
 def test_network_readers_take_the_float_chain_and_mask_steps(monkeypatch):
     net = random_network([30] * 8, 0.1, 40, 1605)
     p = net.poset
-    _refuse(monkeypatch, "_int_product")
+    products = _int_products(monkeypatch)
     assert integrate_excursion(net.counting) == 40
     layers = posetzoo.chain(8)
     f = PosetMap(p, layers, [x // 30 for x in range(p.n)])
     assert integrate(pushforward(f, net.counting)) == 40
     assert is_chi_distinguished(PosetMap.identity(p))
+    assert products == []
 
 
 def test_transports_and_table_past_the_float_bound_run_on_python_ints(monkeypatch):
@@ -1033,16 +1081,7 @@ def test_transports_and_table_past_the_float_bound_run_on_python_ints(monkeypatc
     r = p._row_sums()
     assert r.tolist() == [(-2) ** (69 - x // 3) for x in range(p.n)]
     layers = posetzoo.chain(70)
-    products = []
-
-    def counted(original):
-        def call(x, a):
-            products.append(x.shape)
-            return original(x, a)
-
-        return call
-
-    _wrap(monkeypatch, "_int_product", counted)
+    products = _int_products(monkeypatch)
     # every prime filter has a least element, so chi 1
     assert is_chi_distinguished(PosetMap.identity(p))
     assert products == [(p.n,)]

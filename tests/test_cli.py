@@ -136,6 +136,44 @@ def test_one_parser_serves_every_call_unchanged(capsys):
     assert out == "0\n"
 
 
+# In a fresh interpreter: the modules that importing the CLI and running
+# one call of each kind loads beyond numpy's own import, as JSON.
+FOOTPRINT_PROBE = """
+import contextlib, io, json, sys
+import numpy
+before = set(sys.modules)
+from eulerscan.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_cli_loads_nothing_beyond_numpy_and_the_standard_library():
+    # every module a run loads costs every process its import time and
+    # resident memory: np.unique, for one, pulls in numpy.ma
+    calls = [
+        GOLDEN_COMMANDS[name][1]
+        for name in (
+            "simulate_4x4x3.json", "reduce_coned_chi_doc.json",
+            "integrate_trellis_h.json", "dot_trellis_h.dot",
+        )
+    ]
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_PROBE, json.dumps(calls)],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, check=True,
+    ).stdout
+    loaded = set(json.loads(out))
+    assert not {"numpy.ma", "numpy.random"} & loaded
+    outside = {
+        name for name in loaded
+        if name.split(".")[0] not in sys.stdlib_module_names | {"eulerscan"}
+    }
+    assert not outside, sorted(outside)
+
+
 # ----------------------------------------------------------------------
 # exit codes
 # ----------------------------------------------------------------------

@@ -15,11 +15,13 @@ down-beat  =>  weak down-beat (strict up-set contractible)  =>  chi-point
 none remain yields the core, which is unique up to isomorphism; the
 strip starts from a copy of the poset's cover matrix and keeps it
 current, since removing x keeps every other cover and can only add pairs
-(w, c) of a lower and an upper cover of x, those whose interval [w, c]
-holds two survivors; it ends holding the survivors' covers and hands
-them to the core.  A strict up- or down-set is convex,
-so its covers are the poset's restricted to it, and its contractibility
-test starts from that slice.
+(w, c) of a lower and an upper cover of x, those where no other upper
+cover of w lies below c (the upper covers of x are an antichain, so a
+cover added in the same removal never blocks another); it takes the
+next beat point from a heap that each removal feeds with x's covers
+alone, ends holding the survivors' covers and hands them to the core.
+A strict up- or down-set is convex, so its covers are the poset's
+restricted to it, and its contractibility test starts from that slice.
 Removing chi-points until none remain yields the chi-minimal model, and
 that is simply P minus its chi-points, whatever the order.  With R(x)
 the Moebius row sum of x (one zeta solve; the strict up-set of x has
@@ -32,6 +34,7 @@ sequence.
 
 from __future__ import annotations
 
+import heapq
 import operator
 from dataclasses import dataclass
 from typing import Sequence
@@ -96,29 +99,50 @@ def _strip_beat_points(
 
     Reads ``leq`` and its cover matrix ``cov``, and writes only a copy
     of ``cov``, two degree counters and the survivor mask.  The beat
-    point of least rank goes first, recorded as down-beat in preference
-    to up-beat.  Returns the surviving indices, the (index, reason)
-    removal sequence and the copy, now the survivors' covers.  Removing
-    x adds the pairs (w, c) of a lower and an upper cover of x whose
-    interval [w, c] holds two survivors (a float32 count of the order as
-    held, exact below 2**24).
+    point of least rank goes first, taken from a heap of (rank, id),
+    recorded as down-beat in preference to up-beat.  Returns the
+    surviving indices, the (index, reason) removal sequence and the
+    copy, now the survivors' covers.  Removing x changes only the
+    degrees of its lower and upper covers, so only those are pushed
+    back; x's own counters are zeroed, and a popped entry that is not a
+    beat point (removed, or no longer one) is skipped.  A lower cover w
+    and an upper cover c of x become a cover exactly when no other upper
+    cover u of w has u <= c: a survivor strictly between w and c would
+    lie above such a u, and since the upper covers of x form an
+    antichain, no cover added for w in the same step can be that u.
     """
     cov = cov.copy()
     uppers, lowers = cov.sum(axis=1), cov.sum(axis=0)
+    beat = np.flatnonzero((uppers == 1) | (lowers == 1))
+    heap = list(zip(rank[beat].tolist(), beat.tolist()))
+    heapq.heapify(heap)
+    uppers, lowers, ranks = uppers.tolist(), lowers.tolist(), rank.tolist()
     alive = np.ones(leq.shape[0], dtype=bool)
     removal: list[tuple[int, str]] = []
-    while True:
-        beat = np.flatnonzero(alive & ((uppers == 1) | (lowers == 1)))
-        if beat.size == 0:
-            return np.flatnonzero(alive).tolist(), removal, cov
-        x = beat[np.argmin(rank[beat])]
-        removal.append((int(x), DOWN_BEAT if uppers[x] == 1 else UP_BEAT))
-        w, c = np.flatnonzero(cov[:, x]), np.flatnonzero(cov[x])
+    while heap:
+        x = heapq.heappop(heap)[1]
+        if uppers[x] != 1 and lowers[x] != 1:  # removed (zeroed) or no longer beat
+            continue
+        removal.append((x, DOWN_BEAT if uppers[x] == 1 else UP_BEAT))
+        w, c = cov[:, x].nonzero()[0], cov[x].nonzero()[0]
         cov[x] = cov[:, x] = alive[x] = False
-        new = (leq[w] & alive).astype(np.float32) @ leq[:, c] == 2
-        cov[np.ix_(w, c)] = new
-        uppers[w] += new.sum(axis=1) - 1
-        lowers[c] += new.sum(axis=0) - 1
+        uppers[x] = lowers[x] = 0
+        for y in w.tolist():
+            uppers[y] -= 1
+        for y in c.tolist():
+            lowers[y] -= 1
+        if w.size and c.size:
+            others = cov[w]  # the upper covers of each w but x
+            u = others.any(axis=0).nonzero()[0]
+            i, j = (~(others[:, u] @ leq[u[:, None], c])).nonzero()
+            cov[w[i], c[j]] = True
+            for a, b in zip(w[i].tolist(), c[j].tolist()):
+                uppers[a] += 1
+                lowers[b] += 1
+        for y in w.tolist() + c.tolist():
+            if uppers[y] == 1 or lowers[y] == 1:
+                heapq.heappush(heap, (ranks[y], y))
+    return np.flatnonzero(alive).tolist(), removal, cov
 
 
 def _contractible(cov: np.ndarray, leq: np.ndarray) -> bool:
@@ -147,22 +171,24 @@ def classify_points(p: Poset) -> PointClass:
     is_chi_point = p._row_sums() == 0
     ones = np.ones((1, p.n), dtype=object)
     is_dual_chi_point = _mobius_solve(p._operator(), ones)[0] == 0
-    lt = p.leq.copy()
-    np.fill_diagonal(lt, False)
 
     def weak(beat, chi_point, side) -> frozenset[int]:
-        # row x of ``side`` masks the strict up-set (or down-set) of x
-        tested = np.flatnonzero(chi_point & ~beat).tolist()
-        cuts = (np.ix_(side[x], side[x]) for x in tested)
-        passed = [x for x, m in zip(tested, cuts) if _contractible(cov[m], p.leq[m])]
+        passed = []
+        for x in np.flatnonzero(chi_point & ~beat).tolist():
+            # row x of ``side``, x cleared, masks the strict up-set (or down-set)
+            strict = side[x].copy()
+            strict[x] = False
+            m = np.ix_(strict, strict)
+            if _contractible(cov[m], p.leq[m]):
+                passed.append(x)
         return frozenset(np.flatnonzero(beat).tolist() + passed)
 
     return PointClass(
         parent=p,
         down_beat=frozenset(np.flatnonzero(down).tolist()),
         up_beat=frozenset(np.flatnonzero(up).tolist()),
-        weak_down_beat=weak(down, is_chi_point, lt),
-        weak_up_beat=weak(up, is_dual_chi_point, lt.T),
+        weak_down_beat=weak(down, is_chi_point, p.leq),
+        weak_up_beat=weak(up, is_dual_chi_point, p.leq.T),
         chi_point=frozenset(np.flatnonzero(is_chi_point).tolist()),
     )
 

@@ -237,6 +237,40 @@ def test_chain_core_matches_recompute_oracle():
     assert is_contractible(p)
 
 
+def _strip_cases(rng):
+    """Shuffled random posets, the fixture zoo and small networks."""
+    for _ in range(150):
+        yield oracles.random_poset(
+            rng, max_n=rng.choice((8, 14, 24)),
+            edge_prob=rng.choice((0.1, 0.2, 0.3, 0.5)), shuffle=True,
+        )
+    yield from (
+        posetzoo.trellis(), posetzoo.circle_plus_point(),
+        posetzoo.coned_circle_plus_point(), posetzoo.chain(7),
+        posetzoo.antichain(0), posetzoo.antichain(4),
+        posetzoo.ordinal_sum_of_antichains(4, 3), posetzoo.diamond(),
+        posetzoo.vee(), posetzoo.four_cycle(),
+    )
+    for seed in range(20):
+        widths = [rng.randint(2, 7)] * rng.randint(2, 6)
+        yield random_network(widths, rng.choice((0.2, 0.3, 0.5)), 0, seed).poset
+
+
+def test_core_matches_recompute_oracle_under_random_orders():
+    # the heap strip removes the same points, for the same reasons and in
+    # the same order, as re-deriving the covers after every removal
+    rng = random.Random(28)
+    for p in _strip_cases(rng):
+        for _ in range(3):
+            order = rng.sample(range(p.n), p.n)
+            report = core(p, order)
+            expect = oracles.strip_beat_points_by_recompute(p.leq, order)
+            assert (report.removal_sequence, report.mapping) == expect
+            held = report.result._hasse()
+            assert np.array_equal(held, poset_module._cover_matrix(report.result.leq))
+        assert is_contractible(p) == (len(expect[1]) == 1)
+
+
 def test_one_cover_matrix_per_strip(monkeypatch):
     # the strip updates one matrix in place and derives none per removal
     sizes = []
@@ -329,6 +363,18 @@ def test_contractibility_matches_exhaustive_oracle():
         reach = oracles.reachability(p.n, p.covers)
         expect = p.n > 0 and oracles.contractible_exhaustive(range(p.n), reach)
         assert is_contractible(p) == expect
+
+
+def test_strict_up_and_down_sets_contractible_as_exhaustive_oracle():
+    rng = random.Random(29)
+    for _ in range(60):
+        p = oracles.random_poset(rng, max_n=7, edge_prob=0.4, shuffle=True)
+        reach = oracles.reachability(p.n, p.covers)
+        for x in range(p.n):
+            for strict in (p.up_set(x, strict=True), p.down_set(x, strict=True)):
+                sub, _ = p.induced_subposet(sorted(strict))
+                expect = sub.n > 0 and oracles.contractible_exhaustive(strict, reach)
+                assert is_contractible(sub) == expect
 
 
 # ----------------------------------------------------------------------

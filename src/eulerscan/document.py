@@ -7,6 +7,16 @@ internally they are mapped onto the dense ids posets use.  Unknown keys
 are rejected so that typos fail loudly.  Serialization is canonical
 (sorted ids, covers, function names), which makes documents diffable and
 output files byte-stable.
+
+Loading checks the sections in order: elements, covers, functions (in
+input order, though they are stored sorted by name) and targets, then
+the covers for a cycle, then each edge target for a cover.  A section
+whose entries are plain JSON types (exactly ``int``, ``str``, ``list``
+and ``dict``, no subclasses and no bools for ints) is checked in a few
+vector passes over all its entries: types, key sets, canonical function
+ids, the int64 value range and id membership.  A section that holds
+anything else, or that fails a pass, is checked again one entry at a
+time, so either way the first bad entry in input order names the error.
 """
 
 from __future__ import annotations
@@ -15,7 +25,10 @@ import json
 import operator
 import re
 from collections import Counter
+from itertools import chain, repeat
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .calculus import PosetFunction
 from .errors import ParseError, UnknownFunction
@@ -23,6 +36,10 @@ from .network import SensorNetwork, TargetPosition, TargetSet
 from .poset import Poset
 
 _TOP_KEYS = {"elements", "covers", "functions", "targets"}
+# the key sets a target may have
+_TARGET_SHAPES = {
+    frozenset(keys) for keys in (["node"], ["edge"], ["node", "count"], ["edge", "count"])
+}
 # str(id) for an integer id; "00", "+1", "-0" or " 1" would alias another key
 _CANONICAL_ID = re.compile(r"0|-?[1-9][0-9]*")
 
@@ -44,6 +61,141 @@ def _no_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
         duplicates = sorted(key for key, count in counts.items() if count > 1)
         raise ParseError(f"duplicate JSON keys: {duplicates}")
     return obj
+
+
+def _only(values: Iterable, kind: type) -> bool:
+    """Every value is exactly a ``kind``: not a subclass, so no bool for int."""
+    return set(map(type, values)) <= {kind}
+
+
+def _id_pairs(pairs: list, id_set: set) -> list[tuple[int, int]] | None:
+    """``[a, b]`` lists of two known plain-int ids as tuples, in a few
+    passes; None when any pair is anything else."""
+    if _only(pairs, list) and set(map(len, pairs)) <= {2}:
+        ends = list(chain.from_iterable(pairs))
+        if _only(ends, int) and id_set.issuperset(ends):
+            return list(zip(ends[::2], ends[1::2]))
+    return None
+
+
+def _parse_elements(entries: list) -> tuple[list[int], dict[int, str]]:
+    """The element ids in input order and their labels."""
+    if _only(entries, dict) and set().union(*entries) <= {"id", "label"}:
+        ids = list(map(dict.get, entries, repeat("id")))  # None where missing
+        if _only(ids, int) and len(set(ids)) == len(ids):
+            labels = {entry["id"]: entry["label"] for entry in entries if "label" in entry}
+            if _only(labels.values(), str):
+                return ids, labels
+    ids, labels = [], {}
+    for entry in entries:
+        _expect(isinstance(entry, dict), "each element must be an object")
+        extra = set(entry) - {"id", "label"}
+        if extra:
+            raise ParseError(f"unknown element keys: {sorted(extra)}")
+        _expect(_is_int(entry.get("id")), "element ids must be integers")
+        ids.append(entry["id"])
+        if "label" in entry:
+            _expect(isinstance(entry["label"], str), "labels must be strings")
+            labels[entry["id"]] = entry["label"]
+    _expect(len(set(ids)) == len(ids), "element ids must be unique")
+    return ids, labels
+
+
+def _parse_covers(pairs: list, id_set: set) -> list[tuple[int, int]]:
+    """The cover pairs in input order, duplicates kept."""
+    covers = _id_pairs(pairs, id_set)
+    if covers is not None:
+        return covers
+    covers = []
+    for pair in pairs:
+        _expect(
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair)),
+            "each cover must be a [lower, upper] id pair",
+        )
+        if not (pair[0] in id_set and pair[1] in id_set):
+            raise ParseError(f"cover {pair} references unknown ids")
+        covers.append((pair[0], pair[1]))
+    return covers
+
+
+def _parse_table(name: str, table: dict, id_set: set) -> dict[int, int]:
+    """One function's values keyed by element id."""
+    keys, values = list(table), list(table.values())
+    if _only(keys, str) and _only(values, int):
+        ids = _canonical_ids(keys)
+        if (
+            ids is not None
+            and -(2**63) <= min(values, default=0)
+            and max(values, default=0) < 2**63
+            and set(ids) == id_set
+        ):
+            return dict(zip(ids, values))
+    parsed: dict[int, int] = {}
+    for key, value in table.items():
+        if _CANONICAL_ID.fullmatch(key) is None:
+            raise ParseError(f"function {name!r} has a non-canonical id {key!r}")
+        if not _is_int(value):
+            raise ParseError(f"function {name!r} has a non-integer value at id {key}")
+        if not -(2**63) <= value < 2**63:
+            raise ParseError(f"function {name!r} has a value outside int64 at id {key}")
+        parsed[int(key)] = value
+    if set(parsed) != id_set:
+        raise ParseError(f"function {name!r} must assign a value to every element")
+    return parsed
+
+
+def _canonical_ids(keys: list[str]) -> list[int] | None:
+    """The keys as ints when each is ``str`` of its int, else None."""
+    try:
+        ids = list(map(int, keys))
+    except ValueError:
+        return None
+    return ids if list(map(str, ids)) == keys else None
+
+
+def _parse_targets(entries: list, id_set: set) -> list[tuple[str, object, int]]:
+    """The targets in input order, as (kind, where, count)."""
+    if _only(entries, dict) and set(map(frozenset, entries)) <= _TARGET_SHAPES:
+        counts = list(map(dict.get, entries, repeat("count"), repeat(1)))
+        nodes = [entry["node"] for entry in entries if "node" in entry]
+        pairs = _id_pairs([entry["edge"] for entry in entries if "edge" in entry], id_set)
+        if (
+            _only(counts, int)
+            and min(counts, default=1) >= 1
+            and _only(nodes, int)
+            and id_set.issuperset(nodes)
+            and pairs is not None
+        ):
+            edges = iter(pairs)
+            return [
+                ("node", entry["node"], count) if "node" in entry else ("edge", next(edges), count)
+                for entry, count in zip(entries, counts)
+            ]
+    parsed = []
+    for entry in entries:
+        _expect(isinstance(entry, dict), "each target must be an object")
+        extra = set(entry) - {"node", "edge", "count"}
+        if extra:
+            raise ParseError(f"unknown target keys: {sorted(extra)}")
+        count = entry.get("count", 1)
+        _expect(_is_int(count) and count >= 1, "target count must be a positive integer")
+        if "node" in entry:
+            _expect("edge" not in entry, "a target is a node or an edge, not both")
+            if not (_is_int(entry["node"]) and entry["node"] in id_set):
+                raise ParseError(f"target node {entry['node']} unknown")
+            parsed.append(("node", entry["node"], count))
+        elif "edge" in entry:
+            edge = entry["edge"]
+            _expect(
+                isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge)),
+                "target edge must be a [lower, upper] id pair",
+            )
+            if not (edge[0] in id_set and edge[1] in id_set):
+                raise ParseError(f"target edge {edge} references unknown ids")
+            parsed.append(("edge", (edge[0], edge[1]), count))
+        else:
+            raise ParseError("each target needs a 'node' or an 'edge'")
+    return parsed
 
 
 class PosetDocument:
@@ -92,31 +244,11 @@ class PosetDocument:
         _expect("covers" in raw, "document is missing 'covers'")
 
         _expect(isinstance(raw["elements"], list), "'elements' must be a list")
-        ids: list[int] = []
-        labels: dict[int, str] = {}
-        for entry in raw["elements"]:
-            _expect(isinstance(entry, dict), "each element must be an object")
-            extra = set(entry) - {"id", "label"}
-            if extra:
-                raise ParseError(f"unknown element keys: {sorted(extra)}")
-            _expect(_is_int(entry.get("id")), "element ids must be integers")
-            ids.append(entry["id"])
-            if "label" in entry:
-                _expect(isinstance(entry["label"], str), "labels must be strings")
-                labels[entry["id"]] = entry["label"]
-        _expect(len(set(ids)) == len(ids), "element ids must be unique")
+        ids, labels = _parse_elements(raw["elements"])
         id_set = set(ids)
 
         _expect(isinstance(raw["covers"], list), "'covers' must be a list")
-        covers: list[tuple[int, int]] = []
-        for pair in raw["covers"]:
-            _expect(
-                isinstance(pair, list) and len(pair) == 2 and all(map(_is_int, pair)),
-                "each cover must be a [lower, upper] id pair",
-            )
-            if not (pair[0] in id_set and pair[1] in id_set):
-                raise ParseError(f"cover {pair} references unknown ids")
-            covers.append((pair[0], pair[1]))
+        covers = _parse_covers(raw["covers"], id_set)
 
         functions: dict[str, dict[int, int]] = {}
         if "functions" in raw:
@@ -124,60 +256,12 @@ class PosetDocument:
             for name, table in raw["functions"].items():
                 if not isinstance(table, dict):
                     raise ParseError(f"function {name!r} must be an object")
-                parsed: dict[int, int] = {}
-                for key, value in table.items():
-                    if _CANONICAL_ID.fullmatch(key) is None:
-                        raise ParseError(
-                            f"function {name!r} has a non-canonical id {key!r}"
-                        )
-                    if not _is_int(value):
-                        raise ParseError(
-                            f"function {name!r} has a non-integer value at id {key}"
-                        )
-                    if not -(2**63) <= value < 2**63:
-                        raise ParseError(
-                            f"function {name!r} has a value outside int64 at id {key}"
-                        )
-                    parsed[int(key)] = value
-                if set(parsed) != id_set:
-                    raise ParseError(
-                        f"function {name!r} must assign a value to every element"
-                    )
-                functions[name] = parsed
+                functions[name] = _parse_table(name, table, id_set)
 
         targets = None
         if "targets" in raw:
             _expect(isinstance(raw["targets"], list), "'targets' must be a list")
-            parsed_targets = []
-            for entry in raw["targets"]:
-                _expect(isinstance(entry, dict), "each target must be an object")
-                extra = set(entry) - {"node", "edge", "count"}
-                if extra:
-                    raise ParseError(f"unknown target keys: {sorted(extra)}")
-                count = entry.get("count", 1)
-                _expect(
-                    _is_int(count) and count >= 1,
-                    "target count must be a positive integer",
-                )
-                if "node" in entry:
-                    _expect("edge" not in entry, "a target is a node or an edge, not both")
-                    if not (_is_int(entry["node"]) and entry["node"] in id_set):
-                        raise ParseError(f"target node {entry['node']} unknown")
-                    parsed_targets.append(("node", entry["node"], count))
-                elif "edge" in entry:
-                    edge = entry["edge"]
-                    _expect(
-                        isinstance(edge, list)
-                        and len(edge) == 2
-                        and all(map(_is_int, edge)),
-                        "target edge must be a [lower, upper] id pair",
-                    )
-                    if not (edge[0] in id_set and edge[1] in id_set):
-                        raise ParseError(f"target edge {edge} references unknown ids")
-                    parsed_targets.append(("edge", (edge[0], edge[1]), count))
-                else:
-                    raise ParseError("each target needs a 'node' or an 'edge'")
-            targets = tuple(parsed_targets)
+            targets = tuple(_parse_targets(raw["targets"], id_set))
 
         doc = cls(
             ids=tuple(sorted(ids)),
@@ -191,14 +275,12 @@ class PosetDocument:
 
     def _validate_semantics(self):
         poset = self.poset()  # raises CycleDetected on cyclic covers
-        if self.targets is not None:
-            for kind, where, _count in self.targets:
-                if kind == "edge":
-                    dense = (self._dense[where[0]], self._dense[where[1]])
-                    if not poset._is_cover(*dense):
-                        raise ParseError(
-                            f"target edge {list(where)} is not a cover of the poset"
-                        )
+        edges = [where for kind, where, _count in self.targets or () if kind == "edge"]
+        ends = list(map(self._dense.__getitem__, chain.from_iterable(edges)))
+        is_cover = list(map(poset._hasse().item, ends[::2], ends[1::2]))
+        if not all(is_cover):
+            where = edges[is_cover.index(False)]
+            raise ParseError(f"target edge {list(where)} is not a cover of the poset")
 
     # ------------------------------------------------------------------
     # conversion
@@ -206,13 +288,14 @@ class PosetDocument:
 
     def poset(self) -> Poset:
         if self._poset is None:
-            dense_covers = [
-                (self._dense[a], self._dense[b]) for a, b in self.covers
-            ]
             label_row = tuple(
                 self.labels.get(doc, str(doc)) for doc in self.ids
             )
-            self._poset = Poset.from_covers(len(self.ids), dense_covers, label_row)
+            # the covers' dense ids in one gather, handed over as a k x 2 array
+            ends = list(map(self._dense.__getitem__, chain.from_iterable(self.covers)))
+            self._poset = Poset.from_covers(
+                len(self.ids), np.array(ends, dtype=np.int64).reshape(-1, 2), label_row
+            )
         return self._poset
 
     def doc_id(self, dense: int) -> int:

@@ -104,21 +104,23 @@ def counting_function(p: Poset, t: TargetSet) -> PosetFunction:
 
     The targets are counted onto the node each is first seen from and
     carried up the order in one exact product with the poset's operator.
-    The first target in ``t``'s order that names no node or no cover
-    raises ``ValueError``.
+    They are checked in one pass over their ids and one gather of the
+    cover matrix; the first target in ``t``'s order that names no node or
+    no cover raises ``ValueError``.
     """
     if not t.positions:
         return PosetFunction(p, np.zeros(p.n, dtype=np.int64))
-    seen_from = []
-    for pos in t.positions:
-        if pos.kind == "node":
-            if not 0 <= pos.node < p.n:
+    nodes = [pos.node for pos in t.positions if pos.kind == "node"]
+    edges = [pos.edge for pos in t.positions if pos.kind == "edge"]
+    lower, upper = [a for a, _ in edges], [b for _, b in edges]
+    ids = nodes + lower + upper
+    if not (0 <= min(ids) and max(ids) < p.n and all(map(p._hasse().item, lower, upper))):
+        for pos in t.positions:  # the first bad target raises
+            if pos.kind == "node" and not 0 <= pos.node < p.n:
                 raise ValueError(f"target node {pos.node} does not exist")
-            seen_from.append(pos.node)
-        else:
-            if not p._is_cover(*pos.edge):
+            if pos.kind == "edge" and not p._is_cover(*pos.edge):
                 raise ValueError(f"target edge {pos.edge} is not a cover of the poset")
-            seen_from.append(pos.edge[1])
+    seen_from = nodes + upper
     return PosetFunction(p, _order_sums(p._operator(), [1] * len(seen_from), seen_from))
 
 

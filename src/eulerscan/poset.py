@@ -110,25 +110,29 @@ def _check_cover(a: int, b: int, n: int) -> tuple[int, int]:
     return a, b
 
 
-def _cover_ends(pairs: list, n: int) -> np.ndarray:
+def _cover_ends(pairs: Iterable, n: int) -> np.ndarray:
     """The given pairs as a checked k x 2 int64 array.
 
-    When every pair holds two plain integers (or bools), the ids become
-    one array in one conversion and are checked in one vector pass, the
-    first bad pair in input order raising.  Anything else goes pair by
-    pair through ``operator.index``, in order.
+    A k x 2 array of integers (or bools) is taken as it is.  When every
+    pair holds two plain integers (or bools), the ids become one array in
+    one conversion.  Either is checked in one vector pass, the first bad
+    pair in input order raising.  Anything else goes pair by pair through
+    ``operator.index``, in order.
     """
-    ends = None
-    try:
-        if set(map(len, pairs)) == {2}:
-            flat = np.array([x for pair in pairs for x in pair])
-            if flat.ndim == 1 and flat.dtype.kind in "biu":
-                ends = flat.reshape(-1, 2)
-    except (TypeError, ValueError):  # a pair with no length, or nested ids
-        pass
-    if ends is None:
-        checked = [_check_cover(operator.index(a), operator.index(b), n) for a, b in pairs]
-        return np.array(checked, dtype=np.int64).reshape(-1, 2)
+    if isinstance(pairs, np.ndarray) and pairs.dtype.kind in "biu" and pairs.shape[1:] == (2,):
+        ends = pairs
+    else:
+        pairs, ends = list(pairs), None
+        try:
+            if set(map(len, pairs)) == {2}:
+                flat = np.array([x for pair in pairs for x in pair])
+                if flat.ndim == 1 and flat.dtype.kind in "biu":
+                    ends = flat.reshape(-1, 2)
+        except (TypeError, ValueError):  # a pair with no length, or nested ids
+            pass
+        if ends is None:
+            checked = [_check_cover(operator.index(a), operator.index(b), n) for a, b in pairs]
+            return np.array(checked, dtype=np.int64).reshape(-1, 2)
     bad = ((ends < 0) | (ends >= n)).any(axis=1) | (ends[:, 0] == ends[:, 1])
     if bad.any():
         a, b = map(int, ends[bad.argmax()])
@@ -525,7 +529,8 @@ class Poset:
         covers: Iterable[tuple[int, int]],
         labels: Sequence[str] | None = None,
     ) -> "Poset":
-        """Build a poset from Hasse-diagram pairs ``(lower, upper)``.
+        """Build a poset from Hasse-diagram pairs ``(lower, upper)``, or
+        from a k x 2 integer array of them, which is checked as it is.
 
         Duplicate pairs are ignored.  Pairs already implied by a longer
         path are dropped and reported on ``dropped_covers`` rather than
@@ -534,7 +539,7 @@ class Poset:
         and one walk down the levels (``_close``) yields the order and
         the implied pairs.
         """
-        ends = _cover_ends(list(covers), n)
+        ends = _cover_ends(covers, n)
         adj = np.zeros((n, n), dtype=bool)
         adj[ends[:, 0], ends[:, 1]] = True
         levels = _levels(adj, "cover")

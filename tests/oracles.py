@@ -7,16 +7,18 @@ characteristics by explicit chain enumeration, filters by scanning
 every subset, contractibility by exhaustive beat-point removal in all
 orders, cores by re-deriving the covers after every removal, transports
 by Moebius recursion on each preimage, chi-minimal models by removing
-one chi-point at a time, target draws from an explicit list of spots.
+one chi-point at a time, target draws from an explicit list of spots,
+documents loaded one entry at a time.
 """
 
 import itertools
 import random
+import re
 from functools import lru_cache
 
 import numpy as np
 
-from eulerscan import Poset, TargetPosition
+from eulerscan import ParseError, Poset, TargetPosition
 
 
 def reachability(n, covers):
@@ -267,6 +269,126 @@ def chi_minimal_model_by_iteration(p, tie_break=None):
         del members[i]
         leq = np.delete(np.delete(leq, i, axis=0), i, axis=1)
     return tuple(removal), tuple(members)
+
+
+# ----------------------------------------------------------------------
+# documents
+# ----------------------------------------------------------------------
+
+
+def document_by_entries(raw):
+    """A parsed document object checked one entry at a time, in input
+    order, as the ``ids``, ``labels``, ``covers``, ``functions``,
+    ``targets`` and order matrix that ``PosetDocument.from_obj`` must
+    give, or the error it must raise."""
+
+    def expect(condition, message):
+        if not condition:
+            raise ParseError(message)
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    expect(isinstance(raw, dict), "document must be a JSON object")
+    unknown = set(raw) - {"elements", "covers", "functions", "targets"}
+    if unknown:
+        raise ParseError(f"unknown document keys: {sorted(unknown)}")
+    expect("elements" in raw, "document is missing 'elements'")
+    expect("covers" in raw, "document is missing 'covers'")
+
+    expect(isinstance(raw["elements"], list), "'elements' must be a list")
+    ids, labels = [], {}
+    for entry in raw["elements"]:
+        expect(isinstance(entry, dict), "each element must be an object")
+        extra = set(entry) - {"id", "label"}
+        if extra:
+            raise ParseError(f"unknown element keys: {sorted(extra)}")
+        expect(is_int(entry.get("id")), "element ids must be integers")
+        ids.append(entry["id"])
+        if "label" in entry:
+            expect(isinstance(entry["label"], str), "labels must be strings")
+            labels[entry["id"]] = entry["label"]
+    expect(len(set(ids)) == len(ids), "element ids must be unique")
+    id_set = set(ids)
+
+    expect(isinstance(raw["covers"], list), "'covers' must be a list")
+    covers = []
+    for pair in raw["covers"]:
+        expect(
+            isinstance(pair, list) and len(pair) == 2 and all(map(is_int, pair)),
+            "each cover must be a [lower, upper] id pair",
+        )
+        if not (pair[0] in id_set and pair[1] in id_set):
+            raise ParseError(f"cover {pair} references unknown ids")
+        covers.append((pair[0], pair[1]))
+
+    functions = {}
+    if "functions" in raw:
+        expect(isinstance(raw["functions"], dict), "'functions' must be an object")
+        for name, table in raw["functions"].items():
+            if not isinstance(table, dict):
+                raise ParseError(f"function {name!r} must be an object")
+            parsed = {}
+            for key, value in table.items():
+                if re.fullmatch(r"0|-?[1-9][0-9]*", key) is None:
+                    raise ParseError(f"function {name!r} has a non-canonical id {key!r}")
+                if not is_int(value):
+                    raise ParseError(f"function {name!r} has a non-integer value at id {key}")
+                if not -(2**63) <= value < 2**63:
+                    raise ParseError(f"function {name!r} has a value outside int64 at id {key}")
+                parsed[int(key)] = value
+            if set(parsed) != id_set:
+                raise ParseError(f"function {name!r} must assign a value to every element")
+            functions[name] = parsed
+
+    targets = None
+    if "targets" in raw:
+        expect(isinstance(raw["targets"], list), "'targets' must be a list")
+        targets = []
+        for entry in raw["targets"]:
+            expect(isinstance(entry, dict), "each target must be an object")
+            extra = set(entry) - {"node", "edge", "count"}
+            if extra:
+                raise ParseError(f"unknown target keys: {sorted(extra)}")
+            count = entry.get("count", 1)
+            expect(is_int(count) and count >= 1, "target count must be a positive integer")
+            if "node" in entry:
+                expect("edge" not in entry, "a target is a node or an edge, not both")
+                if not (is_int(entry["node"]) and entry["node"] in id_set):
+                    raise ParseError(f"target node {entry['node']} unknown")
+                targets.append(("node", entry["node"], count))
+            elif "edge" in entry:
+                edge = entry["edge"]
+                expect(
+                    isinstance(edge, list) and len(edge) == 2 and all(map(is_int, edge)),
+                    "target edge must be a [lower, upper] id pair",
+                )
+                if not (edge[0] in id_set and edge[1] in id_set):
+                    raise ParseError(f"target edge {edge} references unknown ids")
+                targets.append(("edge", (edge[0], edge[1]), count))
+            else:
+                raise ParseError("each target needs a 'node' or an 'edge'")
+        targets = tuple(targets)
+
+    ids = tuple(sorted(ids))
+    covers = tuple(sorted(covers))
+    dense = {doc: i for i, doc in enumerate(ids)}
+    poset = Poset.from_covers(
+        len(ids),
+        [(dense[a], dense[b]) for a, b in covers],
+        [labels.get(doc, str(doc)) for doc in ids],
+    )  # raises CycleDetected on cyclic covers
+    for kind, where, _count in targets or ():
+        if kind == "edge" and (dense[where[0]], dense[where[1]]) not in poset.covers:
+            raise ParseError(f"target edge {list(where)} is not a cover of the poset")
+    return {
+        "ids": ids,
+        "labels": labels,
+        "covers": covers,
+        "functions": {name: functions[name] for name in sorted(functions)},
+        "targets": targets,
+        "leq": poset.leq,
+    }
 
 
 # ----------------------------------------------------------------------

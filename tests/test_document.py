@@ -1,9 +1,12 @@
+import copy
 import json
 import pathlib
 import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from eulerscan import (
@@ -321,3 +324,222 @@ def test_dot_escapes_quotes_and_backslashes_in_labels():
     assert len(node_lines) == 2
     for line in node_lines:
         assert re.fullmatch(r'  n\d+ \[label="(?:[^"\\]|\\.)*"\];', line)
+
+
+# ----------------------------------------------------------------------
+# the loader against the per-entry oracle
+# ----------------------------------------------------------------------
+
+
+class Id(int):
+    """An int subclass, which only ``from_obj`` can be handed."""
+
+
+ID_POOL = [*range(-4, 12), 40, 2**62, 2**63, -(2**63) - 1, 2**70, -(2**70), 2**70 + 1]
+LABELS = ["källa", "дельта", 'a"b', "c\\", "", "L0.1", "🛰"]
+VALUES = [-5, -1, 0, 1, 3, 7, 2**63 - 1, -(2**63)]
+
+
+def random_document(rng):
+    """A valid document object: sparse, negative and huge ids, unicode
+    labels, duplicate and implied covers, node and edge targets."""
+    n = rng.randint(0, 7)
+    ids = rng.sample(ID_POOL, n)
+    if rng.random() < 0.15:
+        ids = [Id(x) for x in ids]
+    label_share = rng.choice([0.0, 0.5, 1.0])
+    elements = []
+    for x in ids:
+        entry = {"id": x, "label": rng.choice(LABELS)} if rng.random() < label_share else {"id": x}
+        elements.append(dict(reversed(entry.items())) if rng.random() < 0.2 else entry)
+    # ids in rng order, and every cover runs up that order: acyclic
+    order = rng.sample(range(n), n)
+    covers = [
+        [ids[order[i]], ids[order[j]]]
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.4
+    ]
+    covers += [list(pair) for pair in rng.choices(covers, k=rng.randint(0, 2))] if covers else []
+    rng.shuffle(covers)
+    obj = {"elements": elements, "covers": covers}
+    if rng.random() < 0.7:
+        obj["functions"] = {}
+        for name in rng.sample(["h", "g", "ё", "noisy"], rng.randint(0, 3)):
+            keys = [str(x) for x in ids]
+            rng.shuffle(keys)
+            obj["functions"][name] = {key: rng.choice(VALUES) for key in keys}
+    if rng.random() < 0.7 and n:
+        dense = {x: i for i, x in enumerate(ids)}
+        reach = oracles.reachability(n, [(dense[a], dense[b]) for a, b in covers])
+        between = {(a, b) for a, c in reach for d, b in reach if c == d and a != c != b}
+        hasse = [[ids[a], ids[b]] for a, b in sorted(reach - between) if a != b]
+        targets = []
+        for _ in range(rng.randint(0, 5)):
+            if hasse and rng.random() < 0.5:
+                entry = {"edge": list(rng.choice(hasse))}
+            else:
+                entry = {"node": rng.choice(ids)}
+            if rng.random() < 0.3:
+                entry["count"] = rng.randint(1, 3)
+            targets.append(entry)
+        obj["targets"] = targets
+    return obj
+
+
+def _known_ids(obj):
+    """The integer ids of the well-formed elements."""
+    return [
+        entry["id"]
+        for entry in obj["elements"]
+        if isinstance(entry, dict) and type(entry.get("id")) in (int, Id)
+    ]
+
+
+def _outside(obj):
+    """An integer that is no element id."""
+    return max([0, *_known_ids(obj)]) + 1
+
+
+def _some(rng, entries, kind=object):
+    """The index of a random entry of type ``kind``, or None."""
+    at = [i for i, entry in enumerate(entries) if isinstance(entry, kind)]
+    return rng.choice(at) if at else None
+
+
+def _fault_element(rng, obj):
+    elements, ids = obj["elements"], _known_ids(obj)
+    i = _some(rng, elements, dict)
+    if i is None or "id" not in elements[i] or not ids:
+        bad = [{"id": 1.0}, {"id": True}, {"label": "x"}, [0], {"id": 0, "label": None}]
+        elements.append(rng.choice(bad))
+        return
+    entry = elements[i]
+    kind = rng.randrange(6)
+    if kind == 0:
+        entry["id"] = rng.choice([True, False, 1.0, 0.5, str(entry["id"]), None])
+    elif kind == 1:
+        entry[rng.choice(["name", "at", "ID"])] = 1
+    elif kind == 2:
+        entry["label"] = rng.choice([None, 3, ["a"]])
+    elif kind == 3:
+        elements.insert(rng.randrange(len(elements) + 1), {"id": rng.choice(ids)})  # duplicate id
+    elif kind == 4:
+        del entry["id"]
+    else:
+        elements[i] = rng.choice([[entry["id"]], entry["id"], None])
+
+
+def _fault_cover(rng, obj):
+    covers, ids = obj["covers"], _known_ids(obj)
+    kind = rng.randrange(6)
+    i = _some(rng, covers, list)
+    if kind == 0 and ids:  # a cycle: a self-loop or a cover back down a path
+        pair = covers[i] if i is not None and len(covers[i]) == 2 else [ids[0], ids[0]]
+        loop = [pair[1], pair[0]] if rng.random() < 0.6 else [pair[0]] * 2
+        covers.insert(rng.randrange(len(covers) + 1), loop)
+        return
+    if i is None:
+        covers.append(rng.choice([[0, _outside(obj)], [True, 0], "0,1", [0]]))
+    elif kind == 1:
+        covers[i][rng.randrange(len(covers[i]))] = _outside(obj)
+    elif kind == 2:
+        covers[i][rng.randrange(len(covers[i]))] = rng.choice([True, 1.0, None, "1"])
+    elif kind == 3:
+        covers[i] = rng.choice([covers[i][:1], covers[i] * 2, tuple(covers[i]), {"lower": 0}])
+    else:
+        covers[i] = covers[i][::-1]  # reversed: a cycle when kept elsewhere
+
+
+def _fault_function(rng, obj):
+    tables = obj.setdefault("functions", {})
+    if not tables:
+        tables["h"] = {str(x): 1 for x in _known_ids(obj)}
+    name = rng.choice(list(tables))
+    table = tables[name]
+    keys = list(table) if isinstance(table, dict) else []
+    kind = rng.randrange(6)
+    if kind == 0 or not keys:
+        tables[name] = rng.choice([[1, 2], None, 5]) if kind == 0 else {"x": 1}
+    elif kind == 1:
+        table[rng.choice(keys)] = rng.choice([True, 1.5, None, "1", 2**63, -(2**63) - 1, 2**70])
+    elif kind == 2:  # a non-canonical alias of an id
+        key = rng.choice(keys)
+        alias = rng.choice(["0" + key, "+" + key, " " + key, key + " ", "-0", "１"])
+        table[alias] = table.pop(key)
+    elif kind == 3:
+        del table[rng.choice(keys)]  # a missing entry
+    elif kind == 4:
+        table[str(_outside(obj))] = 0  # an unknown id
+    else:
+        tables[name] = dict(rng.sample(list(table.items()), len(table)))
+        tables[name][rng.choice(["1_0", "abc", "", "1e3"])] = 0
+
+
+def _fault_target(rng, obj):
+    targets = obj.setdefault("targets", [])
+    ids = _known_ids(obj)
+    i = _some(rng, targets, dict)
+    kind = rng.randrange(7)
+    if i is None or kind == 0:
+        bad = rng.choice([
+            {"node": _outside(obj)}, {"node": True}, {"node": 1.0}, {"edge": [0.0, 1]},
+            {"spot": 0}, {"count": 2}, {"node": 0, "edge": [0, 1]}, {"node": None}, [0],
+            {"edge": ids[:2] if len(ids) > 1 else [0, 0]},  # often not a cover
+        ])
+        targets.insert(rng.randrange(len(targets) + 1), bad)
+        return
+    entry = targets[i]
+    if kind == 1:
+        entry["count"] = rng.choice([0, 0, -1, True, 1.0, None])
+    elif kind == 2:
+        entry[rng.choice(["spot", "nodes", "Count"])] = 0
+    elif kind == 3 and isinstance(entry.get("edge"), list) and entry["edge"]:
+        entry["edge"][rng.randrange(len(entry["edge"]))] = rng.choice([_outside(obj), True, 0.5])
+    elif kind == 4 and ids:  # an edge that is no cover: a loop, or a reversed edge
+        edge = entry.get("edge")
+        entry.pop("node", None)
+        if isinstance(edge, list) and len(edge) == 2 and rng.random() < 0.5:
+            entry["edge"] = edge[::-1]
+        else:
+            entry["edge"] = [rng.choice(ids)] * 2
+    elif kind == 5:
+        entry["node" if "edge" in entry else "edge"] = rng.choice(ids) if ids else 0
+    else:
+        entry["node" if "node" in entry else "edge"] = rng.choice([None, [1], {"id": 0}])
+
+
+FAULTS = [_fault_element, _fault_cover, _fault_function, _fault_target]
+
+
+def _outcome(load, raw):
+    try:
+        got = load(raw)
+    except Exception as exc:  # the type and text must match
+        return type(exc), str(exc)
+    if isinstance(got, PosetDocument):
+        got = {
+            "ids": got.ids, "labels": got.labels, "covers": got.covers,
+            "functions": got.functions, "targets": got.targets, "leq": got.poset().leq,
+        }
+    got["leq"] = got["leq"].tolist()
+    got["types"] = [type(x) for x in got["ids"]]
+    return got
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans())
+def test_loader_matches_the_per_entry_oracle(seed, faults, as_text):
+    rng = random.Random(seed)
+    raw = random_document(rng)
+    section = rng.choice(FAULTS)
+    for _ in range(faults):  # half the second faults land in the first's section
+        section = section if rng.random() < 0.5 else rng.choice(FAULTS)
+        section(rng, raw)
+    if as_text:  # through the JSON decoder; int subclasses become ints
+        text = json.dumps(raw, ensure_ascii=rng.random() < 0.5)
+        want = _outcome(oracles.document_by_entries, json.loads(text))
+        assert _outcome(PosetDocument.from_text, text) == want
+    else:
+        want = _outcome(oracles.document_by_entries, copy.deepcopy(raw))
+        assert _outcome(PosetDocument.from_obj, raw) == want

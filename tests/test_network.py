@@ -136,6 +136,20 @@ def test_counting_function_raises_at_the_first_bad_target_in_order(trellis):
         counting_function(trellis, TargetSet.of([node[0], edge[0], BAD_TARGETS[3][0]]))
 
 
+def test_counting_function_names_the_first_of_two_bad_targets_anywhere(trellis):
+    rng = random.Random(29)
+    good = [TargetPosition.at_node(x) for x in range(trellis.n)]
+    good += [TargetPosition.on_edge(a, b) for a, b in sorted(trellis.covers)]
+    for _ in range(200):
+        positions = rng.choices(good, k=rng.randint(0, 8))
+        (first, message), (second, _) = rng.sample(BAD_TARGETS, 2)
+        i = rng.randint(0, len(positions))
+        positions.insert(i, first)
+        positions.insert(rng.randint(i + 1, len(positions)), second)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            counting_function(trellis, TargetSet(tuple(positions)))
+
+
 def test_counting_is_monotone_nonnegative_always():
     rng = random.Random(51)
     for _ in range(100):

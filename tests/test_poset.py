@@ -133,6 +133,71 @@ def test_cover_pairs_of_bools_generators_and_arrays_are_read_once():
     assert len(read) == 4
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.int8])
+def test_cover_arrays_build_what_the_pair_lists_build(dtype):
+    rng = random.Random(29)
+    for _ in range(80):
+        n = rng.randint(0, 9)
+        ids = rng.sample(range(n), n)
+        pairs = [
+            (ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.35
+        ]
+        pairs += rng.choices(pairs, k=2) if pairs else []  # duplicates
+        rng.shuffle(pairs)
+        want = Poset.from_covers(n, pairs)
+        got = Poset.from_covers(n, np.array(pairs, dtype=dtype).reshape(-1, 2))
+        assert np.array_equal(got.leq, want.leq)
+        assert (got.covers, got.dropped_covers) == (want.covers, want.dropped_covers)
+        levels = [level.tolist() for level in got._level_sets()]
+        assert levels == [level.tolist() for level in want._level_sets()]
+
+
+def test_an_int64_cover_array_is_taken_as_it_is():
+    ends = np.array([[0, 1], [1, 2], [0, 2]], dtype=np.int64)
+    assert poset_module._cover_ends(ends, 3) is ends
+    assert Poset.from_covers(3, ends).dropped_covers == ((0, 2),)
+
+
+BAD_COVER_ROWS = {
+    "out-of-range": [(0, 1), (5, 6), (1, 1)],
+    "self-loop": [(0, 1), (1, 1), (5, 6)],
+    "first-of-two-out": [(2, 0), (7, 7), (1, 3)],
+    "first-of-two-loops": [(1, 0), (2, 2), (0, 0)],
+    "cycle": [(0, 1), (1, 2), (2, 0)],
+    "negative": [(0, 1), (-1, 2), (3, 1)],
+    "past-int64": [(0, 2**64 - 1), (4, 0)],
+}
+
+
+@pytest.mark.parametrize(
+    "case, dtype",
+    [
+        (case, dtype)
+        for case, pairs in BAD_COVER_ROWS.items()
+        for dtype in (np.int64, np.int32, np.uint64)
+        if np.iinfo(dtype).min <= min(map(min, pairs))
+        and max(map(max, pairs)) <= np.iinfo(dtype).max
+    ],
+)
+def test_a_bad_cover_row_raises_as_the_pair_list_does(case, dtype):
+    pairs = BAD_COVER_ROWS[case]
+    with pytest.raises((ValueError, CycleDetected)) as want:
+        Poset.from_covers(3, pairs)
+    with pytest.raises(want.type) as got:
+        Poset.from_covers(3, np.array(pairs, dtype=dtype))
+    assert str(got.value) == str(want.value)
+
+
+def test_bool_cover_arrays_read_as_zero_and_one():
+    want = Poset.from_covers(2, [(0, 1)])
+    for given in (np.array([[False, True]]), [(False, True)]):
+        p = Poset.from_covers(2, given)
+        assert (p.covers, np.array_equal(p.leq, want.leq)) == (want.covers, True)
+    for given in (np.array([[True, True]]), [(True, True)]):
+        with pytest.raises(CycleDetected, match="^self-loop at element 1$"):
+            Poset.from_covers(2, given)
+
+
 def test_duplicate_covers_ignored():
     p = Poset.from_covers(2, [(0, 1), (0, 1)])
     assert p.covers == frozenset({(0, 1)})
